@@ -19,8 +19,9 @@ from obsim import (
     ProductObservation,
     TrialStream,
     meet_actual,
-    ndc_theorem_demo,
     product_observe,
+    product_process,
+    run_trials,
 )
 
 certain = ProductObservation((BURNABILITY, FLOATABILITY))
@@ -31,10 +32,15 @@ for i in range(5):
     print(f"  trial {i}: chose {chosen:<12} -> {outcome.value:<3} leaving {post}")
 
 print("\nproduct(non-burnability, floatability) on dry intact wood")
-demo = ndc_theorem_demo(trials=10_000, seed=99)
-report = demo.trial_report
-print(f"  meet actual in advance: {demo.meet_is_actual}")
-print(f"  each chosen test individually deterministic: {demo.component_deterministic}")
+coin = ProductObservation((NON_BURNABILITY, FLOATABILITY))
+trials, seed = 10_000, 99
+report = run_trials(product_process(coin), DRY_INTACT, trials, seed)
+deterministic = {c.id: c.analytic_prob(DRY_INTACT) in (0.0, 1.0) for c in coin.components}
+choices = {c.id: 0 for c in coin.components}
+for i in range(trials):  # trial i chose with the first draw of its stream
+    choices[coin.components[coin.choose(TrialStream(seed, i))].id] += 1
+print(f"  meet actual in advance: {meet_actual(coin, DRY_INTACT)}")
+print(f"  each chosen test individually deterministic: {deterministic}")
 print(f"  empirical yes-frequency: {report.p_hat:.4f} (analytic {report.analytic})")
 print(f"  wilson 99% interval: [{report.wilson_low:.4f}, {report.wilson_high:.4f}]")
-print(f"  choices: {dict(demo.choice_counts)}")
+print(f"  choices: {choices}")

@@ -43,6 +43,7 @@ from .exemplars import (
     Moisture,
     SolidState,
     WoodState,
+    break_trajectory,
 )
 from .machines import (
     BreakageProfile,
@@ -53,7 +54,6 @@ from .machines import (
     SegmentBreak,
     SpherePoint,
     UniformBreak,
-    quantum_machine_observe,
     quantum_machine_prob,
     quantum_machine_process,
     sawtooth_observe,
@@ -61,10 +61,8 @@ from .machines import (
     sphere_point_at,
 )
 from .product import (
-    NdcReport,
     ProductObservation,
     meet_actual,
-    ndc_theorem_demo,
     product_analytic,
     product_observe,
     product_process,
@@ -73,9 +71,7 @@ from .randomness import RecordingStream, SequenceStream, TrialStream, substream_
 from .stats import (
     ResetPolicy,
     SweepPoint,
-    SweepResult,
     TrialReport,
-    build_report,
     chi_square_against_analytic,
     estimator_status,
     run_trials,

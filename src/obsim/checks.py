@@ -7,6 +7,7 @@ unlucky sample.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -23,6 +24,7 @@ from .exemplars import (
     NON_BURNABILITY,
     ElasticBandState,
     SolidState,
+    break_trajectory,
 )
 from .machines import (
     ElasticApparatus,
@@ -32,9 +34,9 @@ from .machines import (
     quantum_machine_prob,
     sphere_point_at,
 )
-from .product import ProductObservation, meet_actual, product_observe
+from .product import ProductObservation, meet_actual, product_process
 from .randomness import TrialStream, substream_seed
-from .stats import ResetPolicy, run_trials, wilson_interval
+from .stats import SweepPoint, run_trials, sweep
 from .taxonomy import taxonomy_table
 
 ACCEPTANCE_SEED = 42
@@ -63,9 +65,9 @@ def check_uniform_curve(seed: int = ACCEPTANCE_SEED, trials: int = 100_000) -> C
     process = quantum_machine_process(apparatus)
     failures: list[str] = []
     t0 = time.perf_counter()
-    for k, gamma in enumerate(_EQ1_GAMMAS):
+    points = [SweepPoint({"gamma": g}, process, sphere_point_at(g)) for g in _EQ1_GAMMAS]
+    for gamma, report in zip(_EQ1_GAMMAS, sweep(points, trials, seed)):
         p = quantum_machine_prob(gamma, UniformBreak())
-        report = run_trials(process, sphere_point_at(gamma), trials, substream_seed(seed, k))
         if p in (0.0, 1.0):
             if report.yes != int(p) * trials:
                 failures.append(f"gamma={gamma:.4f}: expected exact count, got {report.yes}")
@@ -120,34 +122,30 @@ def check_segment_regime_map(
             if abs(formula - segment_prob_oracle(gamma, width)) > 1e-9:
                 failures.append(f"oracle mismatch at gamma={gamma:.4f}, eps={width}")
 
-    point_index = 0
+    points = []
     for width in widths:
         process = quantum_machine_process(
             ElasticApparatus((0.0, 0.0, 1.0), 1.0, SegmentBreak(width))
         )
-        for gamma in gammas:
-            report = run_trials(
-                process,
-                sphere_point_at(gamma),
-                trials,
-                substream_seed(seed, point_index),
-            )
-            point_index += 1
-            c = math.cos(gamma)
-            expected = quantum_machine_prob(gamma, SegmentBreak(width))
-            if abs(c) > width:
-                if report.yes not in (0, trials):
-                    failures.append(
-                        f"eps={width}, gamma={gamma:.4f}: deterministic regime has variance"
-                    )
-                elif report.p_hat != expected:
-                    failures.append(
-                        f"eps={width}, gamma={gamma:.4f}: wrong deterministic value"
-                    )
-            elif abs(c) < width and abs(report.p_hat - expected) > 0.01:
+        points += [SweepPoint({"eps": width, "gamma": g}, process, sphere_point_at(g))
+                   for g in gammas]
+    for point, report in zip(points, sweep(points, trials, seed)):
+        width, gamma = point.params["eps"], point.params["gamma"]
+        c = math.cos(gamma)
+        expected = quantum_machine_prob(gamma, SegmentBreak(width))
+        if abs(c) > width:
+            if report.yes not in (0, trials):
                 failures.append(
-                    f"eps={width}, gamma={gamma:.4f}: |{report.p_hat:.4f} - {expected:.4f}| > 0.01"
+                    f"eps={width}, gamma={gamma:.4f}: deterministic regime has variance"
                 )
+            elif report.p_hat != expected:
+                failures.append(
+                    f"eps={width}, gamma={gamma:.4f}: wrong deterministic value"
+                )
+        elif abs(c) < width and abs(report.p_hat - expected) > 0.01:
+            failures.append(
+                f"eps={width}, gamma={gamma:.4f}: |{report.p_hat:.4f} - {expected:.4f}| > 0.01"
+            )
 
     for gamma in gammas:
         if quantum_machine_prob(gamma, SegmentBreak(1.0)) != quantum_machine_prob(
@@ -169,23 +167,15 @@ def check_product_choice_theorem(seed: int = ACCEPTANCE_SEED, trials: int = 10_0
     failures: list[str] = []
 
     certain = ProductObservation((BURNABILITY, FLOATABILITY))
-    yes = 0
-    for i in range(trials):
-        outcome, _post, _chosen = product_observe(certain, DRY_INTACT, TrialStream(seed, i))
-        if outcome is YES:
-            yes += 1
+    yes = run_trials(product_process(certain), DRY_INTACT, trials, seed).yes
     if yes != trials:
         failures.append(f"burnability*floatability: {yes}/{trials} yes, expected all")
     if not meet_actual(certain, DRY_INTACT):
         failures.append("burnability*floatability meet should be actual")
 
     coin = ProductObservation((NON_BURNABILITY, FLOATABILITY))
-    yes = 0
-    for i in range(trials):
-        outcome, _post, _chosen = product_observe(coin, DRY_INTACT, TrialStream(seed + 1, i))
-        if outcome is YES:
-            yes += 1
-    low, high = wilson_interval(yes, trials, 0.99)
+    report = run_trials(product_process(coin), DRY_INTACT, trials, seed + 1)
+    low, high = report.wilson_low, report.wilson_high
     if not (low <= 0.5 <= high):
         failures.append(
             f"non-burnability*floatability: 0.5 outside Wilson 99% [{low:.4f}, {high:.4f}]"
@@ -212,20 +202,14 @@ def check_elastic_suite(
     all-fragments-below-half threshold, and monotone sub-half counts."""
     failures: list[str] = []
 
-    state = ElasticBandState.unbroken(1.0)
     half = 0.5
-    subhalf = 0
-    for i in range(breaks):
-        before = state.fragments
-        j = before.index(max(before))
-        parent = before[j]
-        _outcome, state = LEFT_HANDEDNESS.kernel(state, TrialStream(seed, i))
-        left, right = state.fragments[j], state.fragments[j + 1]
-        delta = (left < half) + (right < half) - (parent < half)
-        if delta < 0:
+    state = ElasticBandState.unbroken(1.0)
+    subhalf = prev_subhalf = 0
+    for i, (state, subhalf) in enumerate(break_trajectory(seed, breaks)):
+        if subhalf < prev_subhalf:
             failures.append(f"sub-half count dropped at break {i}")
             break
-        subhalf += delta
+        prev_subhalf = subhalf
     total = math.fsum(state.fragments)
     if abs(total - 1.0) > 1e-9:
         failures.append(f"length drifted to {total!r} after {breaks} breaks")
@@ -245,9 +229,12 @@ def check_elastic_suite(
 
     frag_prop = PropertyDef("fragmentation", FRAGMENTATION)
     for t in range(trajectories):
-        s = ElasticBandState.unbroken(1.0)
+        steps = itertools.chain(
+            [(ElasticBandState.unbroken(1.0), 0)],
+            break_trajectory(substream_seed(seed, 100 + t), trajectory_breaks),
+        )
         prev_subhalf = 0
-        for i in range(trajectory_breaks):
+        for i, (s, _subhalf) in enumerate(steps):
             if is_actual(frag_prop, s) != (s.max_fragment() < half):
                 failures.append(f"actuality threshold broken on trajectory {t} step {i}")
                 break
@@ -256,7 +243,6 @@ def check_elastic_suite(
                 failures.append(f"sub-half count decreased on trajectory {t} step {i}")
                 break
             prev_subhalf = count
-            _o, s = LEFT_HANDEDNESS.kernel(s, TrialStream(substream_seed(seed, 100 + t), i))
         else:
             continue
         break
@@ -309,8 +295,8 @@ def check_taxonomy_fixture() -> CheckResult:
 
 
 def check_csv_determinism(seed: int = ACCEPTANCE_SEED) -> CheckResult:
-    """The CLI emits byte-identical files for identical flags, whatever the
-    worker count."""
+    """The CLI emits byte-identical files for identical flags, whatever
+    ``--workers`` says."""
     import tempfile
     from pathlib import Path
 
@@ -331,9 +317,9 @@ def check_csv_determinism(seed: int = ACCEPTANCE_SEED) -> CheckResult:
         if not failures:
             blobs = [p.read_bytes() for p in paths]
             if blobs[0] != blobs[1]:
-                failures.append("1-thread and 4-thread outputs differ")
+                failures.append("--workers 1 and --workers 4 outputs differ")
             if blobs[1] != blobs[2]:
-                failures.append("repeated 4-thread runs differ")
+                failures.append("repeated --workers 4 runs differ")
     return _result("csv-determinism", failures, "byte-identical across 1 and 4 workers")
 
 

@@ -23,13 +23,12 @@ from .exemplars import (
     BURNABILITY,
     DRY_INTACT,
     FLOATABILITY,
-    LEFT_HANDEDNESS,
     NON_BURNABILITY,
-    ElasticBandState,
+    break_trajectory,
 )
 from .machines import ElasticApparatus, SegmentBreak, UniformBreak, quantum_machine_process, sphere_point_at
 from .product import ProductObservation, meet_actual, product_process
-from .randomness import TrialStream, substream_seed
+from .randomness import substream_seed
 from .stats import SweepPoint, run_trials, sweep
 from .taxonomy import default_suite, taxonomy_table
 
@@ -53,6 +52,7 @@ _DEFAULT_TRIALS = {
 }
 _DEFAULT_GRID = {"quantum-machine": 13, "epsilon-sweep": 25}
 _DEFAULT_EPSILONS = (0.25, 0.5, 0.75, 1.0)
+_CONFIG_KEYS = ("trials", "seed", "gamma_grid", "epsilon", "out", "format", "workers")
 
 _CHECKS_BY_SCENARIO = {
     "quantum-machine": (checks.check_uniform_curve,),
@@ -114,7 +114,6 @@ def _write_text(out: Optional[Path], text: str) -> None:
 
 def parse_config_file(path: Path) -> dict:
     """Flat ``key = value`` lines; # starts a comment; keys match long flags."""
-    known = {"trials", "seed", "gamma_grid", "epsilon", "out", "format", "workers"}
     values: dict = {}
     try:
         text = path.read_text(encoding="utf-8")
@@ -129,14 +128,17 @@ def parse_config_file(path: Path) -> dict:
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
         value = value.strip()
-        if key not in known:
+        if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        if key in ("trials", "seed", "gamma_grid", "workers"):
-            values[key] = int(value)
-        elif key == "epsilon":
-            values[key] = [float(tok) for tok in value.replace(",", " ").split()]
-        else:
-            values[key] = value
+        try:
+            if key in ("trials", "seed", "gamma_grid", "workers"):
+                values[key] = int(value)
+            elif key == "epsilon":
+                values[key] = [float(tok) for tok in value.replace(",", " ").split()]
+            else:
+                values[key] = value
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from None
     return values
 
 
@@ -159,7 +161,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=("csv", "json"), default=None)
         sp.add_argument("--check", action="store_true",
                         help="assert the acceptance criteria for this scenario (exit 3 on failure)")
-        sp.add_argument("--workers", type=int, default=None, help="worker threads for trials")
+        sp.add_argument("--workers", type=int, default=None,
+                        help="accepted for compatibility; trials always run in one thread")
         sp.add_argument("--config", type=str, default=None, help="flat key = value config file")
     return parser
 
@@ -177,7 +180,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
     }
     if args.config is not None:
         cfg.update(parse_config_file(Path(args.config)))
-    for key in ("trials", "seed", "gamma_grid", "epsilon", "out", "format", "workers"):
+    for key in _CONFIG_KEYS:
         flag_value = getattr(args, key)
         if flag_value is not None:
             cfg[key] = flag_value
@@ -207,21 +210,19 @@ def _merge_config(args: argparse.Namespace) -> dict:
 def _machine_rows(cfg: dict, widths: Optional[Sequence[float]]) -> list[tuple]:
     """Shared by the quantum-machine and epsilon-sweep scenarios; a width of
     None means the uniform band (reported as epsilon 1, its exact equivalent)."""
-    gammas = np.linspace(0.0, math.pi, cfg["gamma_grid"])
+    gammas = [float(g) for g in np.linspace(0.0, math.pi, cfg["gamma_grid"])]
     points = []
-    labels = []
     for width in widths if widths is not None else [None]:
         profile = UniformBreak() if width is None else SegmentBreak(width)
         process = quantum_machine_process(ElasticApparatus((0.0, 0.0, 1.0), 1.0, profile))
-        for gamma in gammas:
-            points.append(SweepPoint({"gamma": float(gamma)}, process, sphere_point_at(float(gamma))))
-            labels.append((float(gamma), 1.0 if width is None else width))
-    result = sweep(points, cfg["trials"], cfg["seed"], workers=cfg["workers"])
-    rows = []
-    for (gamma, eps), report in zip(labels, result.reports):
-        rows.append((gamma, eps, report.analytic, report.p_hat, report.yes,
-                     report.trials, report.wilson_low, report.wilson_high, report.seed))
-    return rows
+        eps = 1.0 if width is None else width
+        points += [SweepPoint({"gamma": g, "epsilon": eps}, process, sphere_point_at(g))
+                   for g in gammas]
+    return [
+        (pt.params["gamma"], pt.params["epsilon"], report.analytic, report.p_hat, report.yes,
+         report.trials, report.wilson_low, report.wilson_high, report.seed)
+        for pt, report in zip(points, sweep(points, cfg["trials"], cfg["seed"]))
+    ]
 
 
 def _scenario_quantum_machine(cfg: dict) -> tuple[tuple, list[tuple]]:
@@ -244,8 +245,7 @@ def _scenario_wood_product(cfg: dict) -> tuple[tuple, list[tuple]]:
     )
     for k, prod in enumerate(products):
         process = product_process(prod)
-        report = run_trials(process, DRY_INTACT, cfg["trials"], substream_seed(cfg["seed"], k),
-                            workers=cfg["workers"])
+        report = run_trials(process, DRY_INTACT, cfg["trials"], substream_seed(cfg["seed"], k))
         rows.append((process.id, report.trials, report.yes, report.p_hat, report.analytic,
                      report.wilson_low, report.wilson_high, meet_actual(prod, DRY_INTACT),
                      report.seed))
@@ -254,19 +254,10 @@ def _scenario_wood_product(cfg: dict) -> tuple[tuple, list[tuple]]:
 
 def _scenario_elastic(cfg: dict) -> tuple[tuple, list[tuple]]:
     seed = cfg["seed"]
-    state = ElasticBandState.unbroken(1.0)
-    half = 0.5 * state.original_length
-    subhalf = 0
     rows = [(0, 1, 1.0, 1.0, 0, 0.0, seed)]
-    for i in range(cfg["trials"]):
-        before = state.fragments
-        j = before.index(max(before))
-        parent = before[j]
-        _outcome, state = LEFT_HANDEDNESS.kernel(state, TrialStream(seed, i))
-        left, right = state.fragments[j], state.fragments[j + 1]
-        subhalf += (left < half) + (right < half) - (parent < half)
+    for step, (state, subhalf) in enumerate(break_trajectory(seed, cfg["trials"]), start=1):
         n = len(state.fragments)
-        rows.append((i + 1, n, math.fsum(state.fragments), max(state.fragments),
+        rows.append((step, n, math.fsum(state.fragments), max(state.fragments),
                      subhalf, subhalf / n, seed))
     return ELASTIC_HEADER, rows
 

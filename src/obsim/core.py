@@ -117,7 +117,7 @@ class PropertyDef:
     def holds_in(self, state: object) -> bool:
         if self.holds is not None:
             return self.holds(state)
-        return self.process.analytic_prob(state) == 1.0
+        return is_actual(self, state)
 
 
 @dataclass(frozen=True)
@@ -167,11 +167,9 @@ def is_actual(prop: PropertyDef, state: object) -> bool:
 def repeat_probabilities(process: ObservationProcess, state: object) -> tuple[float, ...]:
     """Analytic yes-probabilities of ``process`` over every state reachable
     from ``state`` via a yes outcome. Empty when yes is unreachable."""
-    if process.analytic is None:
-        raise NotDecidableError(f"process {process.id!r} has no analytic yes-probability")
-    process.check_scenario(state)
+    p_yes = process.analytic_prob(state)
     if process.repeat_probs is not None:
-        if process.analytic(state) <= 0.0:
+        if p_yes <= 0.0:
             return ()
         return tuple(process.repeat_probs(state))
     if process.branches is not None and process.posts_exact:

@@ -13,11 +13,12 @@ original length).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
 from .core import NO, YES, Branch, ObservationProcess, Outcome
-from .randomness import DrawSource
+from .randomness import DrawSource, TrialStream
 
 
 class Integrity(str, Enum):
@@ -114,6 +115,33 @@ class ElasticBandState:
         return f"elastic({len(self.fragments)} fragments of {self.original_length:.6g})"
 
 
+class _NoDraws:
+    def draw(self) -> float:
+        raise AssertionError("deterministic kernel drew from its stream")
+
+
+def _deterministic_process(id: str, scenario: type, kernel, description: str) -> ObservationProcess:
+    """A process whose kernel takes no draws: its analytic yes-probability and
+    its single outcome branch are both read off one kernel call."""
+    sink = _NoDraws()
+
+    def analytic(state) -> float:
+        return 1.0 if kernel(state, sink)[0] is YES else 0.0
+
+    def branches(state) -> tuple[Branch, ...]:
+        outcome, post = kernel(state, sink)
+        return (Branch(outcome, post, 1.0),)
+
+    return ObservationProcess(
+        id=id,
+        scenario=scenario,
+        kernel=kernel,
+        analytic=analytic,
+        branches=branches,
+        description=description,
+    )
+
+
 # --- wood -------------------------------------------------------------------
 
 def _burnability_kernel(state: WoodState, rng: DrawSource) -> tuple[Outcome, WoodState]:
@@ -121,11 +149,6 @@ def _burnability_kernel(state: WoodState, rng: DrawSource) -> tuple[Outcome, Woo
     if state.integrity is Integrity.INTACT and state.moisture is Moisture.DRY:
         return YES, WoodState(Integrity.ASHES, state.moisture)
     return NO, state
-
-
-def _burnability_analytic(state: WoodState) -> float:
-    dry_intact = state.integrity is Integrity.INTACT and state.moisture is Moisture.DRY
-    return 1.0 if dry_intact else 0.0
 
 
 def _non_burnability_kernel(state: WoodState, rng: DrawSource) -> tuple[Outcome, WoodState]:
@@ -140,49 +163,25 @@ def _floatability_kernel(state: WoodState, rng: DrawSource) -> tuple[Outcome, Wo
     return NO, state
 
 
-def _floatability_analytic(state: WoodState) -> float:
-    return 1.0 if state.integrity is Integrity.INTACT else 0.0
-
-
-def _deterministic_branches(kernel):
-    class _NoDraws:
-        def draw(self) -> float:
-            raise AssertionError("deterministic kernel drew from its stream")
-
-    sink = _NoDraws()
-
-    def branches(state) -> tuple[Branch, ...]:
-        outcome, post = kernel(state, sink)
-        return (Branch(outcome, post, 1.0),)
-
-    return branches
-
-
-BURNABILITY = ObservationProcess(
-    id="burnability",
-    scenario=WoodState,
-    kernel=_burnability_kernel,
-    analytic=_burnability_analytic,
-    branches=_deterministic_branches(_burnability_kernel),
-    description="flame contact for 30 s; yes when the piece disintegrates to ashes (no draws)",
+BURNABILITY = _deterministic_process(
+    "burnability",
+    WoodState,
+    _burnability_kernel,
+    "flame contact for 30 s; yes when the piece disintegrates to ashes (no draws)",
 )
 
-NON_BURNABILITY = ObservationProcess(
-    id="non-burnability",
-    scenario=WoodState,
-    kernel=_non_burnability_kernel,
-    analytic=lambda s: 1.0 - _burnability_analytic(s),
-    branches=_deterministic_branches(_non_burnability_kernel),
-    description="same procedure as burnability with the outcome inverted (no draws)",
+NON_BURNABILITY = _deterministic_process(
+    "non-burnability",
+    WoodState,
+    _non_burnability_kernel,
+    "same procedure as burnability with the outcome inverted (no draws)",
 )
 
-FLOATABILITY = ObservationProcess(
-    id="floatability",
-    scenario=WoodState,
-    kernel=_floatability_kernel,
-    analytic=_floatability_analytic,
-    branches=_deterministic_branches(_floatability_kernel),
-    description="full immersion; yes when buoyancy wins; the piece comes out wet (no draws)",
+FLOATABILITY = _deterministic_process(
+    "floatability",
+    WoodState,
+    _floatability_kernel,
+    "full immersion; yes when buoyancy wins; the piece comes out wet (no draws)",
 )
 
 
@@ -197,17 +196,11 @@ def _incompressibility_kernel(state: SolidState, rng: DrawSource) -> tuple[Outco
     return outcome, SolidState(state.volume * (1.0 - state.compaction_ratio), 0.0)
 
 
-def _incompressibility_analytic(state: SolidState) -> float:
-    return 1.0 if state.compaction_ratio <= _INCOMPRESSIBLE_MAX_RATIO else 0.0
-
-
-INCOMPRESSIBILITY = ObservationProcess(
-    id="incompressibility",
-    scenario=SolidState,
-    kernel=_incompressibility_kernel,
-    analytic=_incompressibility_analytic,
-    branches=_deterministic_branches(_incompressibility_kernel),
-    description="standard press; yes when volume loss is at most 1%; compaction is permanent (no draws)",
+INCOMPRESSIBILITY = _deterministic_process(
+    "incompressibility",
+    SolidState,
+    _incompressibility_kernel,
+    "standard press; yes when volume loss is at most 1%; compaction is permanent (no draws)",
 )
 
 
@@ -272,76 +265,72 @@ def _pick_index(n: int, rng: DrawSource) -> int:
     return n - 1 if i >= n else i
 
 
-def _fragmentation_kernel(
-    state: ElasticBandState, rng: DrawSource
-) -> tuple[Outcome, ElasticBandState]:
-    # one draw; count-uniform pick; non-invasive
-    i = _pick_index(len(state.fragments), rng)
-    half = 0.5 * state.original_length
-    return (YES if state.fragments[i] < half else NO), state
+def _pick_process(id: str, compare, description: str) -> ObservationProcess:
+    """Blind count-uniform pick of one fragment (one draw, non-invasive);
+    yes when ``compare(fragment, half the original length)`` holds."""
+
+    def count(state: ElasticBandState) -> int:
+        half = 0.5 * state.original_length
+        return sum(1 for f in state.fragments if compare(f, half))
+
+    def kernel(state: ElasticBandState, rng: DrawSource) -> tuple[Outcome, ElasticBandState]:
+        i = _pick_index(len(state.fragments), rng)
+        return (YES if compare(state.fragments[i], 0.5 * state.original_length) else NO), state
+
+    def analytic(state: ElasticBandState) -> float:
+        return count(state) / len(state.fragments)
+
+    def branches(state: ElasticBandState) -> tuple[Branch, ...]:
+        n = len(state.fragments)
+        k = count(state)
+        out = []
+        if k:
+            out.append(Branch(YES, state, k / n))
+        if k < n:
+            out.append(Branch(NO, state, (n - k) / n))
+        return tuple(out)
+
+    return ObservationProcess(
+        id=id,
+        scenario=ElasticBandState,
+        kernel=kernel,
+        analytic=analytic,
+        branches=branches,
+        description=description,
+    )
 
 
-def _fragmentation_analytic(state: ElasticBandState) -> float:
-    return state.subhalf_count() / len(state.fragments)
-
-
-def _fragmentation_branches(state: ElasticBandState) -> tuple[Branch, ...]:
-    n = len(state.fragments)
-    k = state.subhalf_count()
-    out = []
-    if k:
-        out.append(Branch(YES, state, k / n))
-    if k < n:
-        out.append(Branch(NO, state, (n - k) / n))
-    return tuple(out)
-
-
-def _non_fragmentation_kernel(
-    state: ElasticBandState, rng: DrawSource
-) -> tuple[Outcome, ElasticBandState]:
-    # one draw; yes when the picked fragment is strictly longer than half;
-    # a fragment of exactly half answers no to both picks
-    i = _pick_index(len(state.fragments), rng)
-    half = 0.5 * state.original_length
-    return (YES if state.fragments[i] > half else NO), state
-
-
-def _superhalf_count(state: ElasticBandState) -> int:
-    half = 0.5 * state.original_length
-    return sum(1 for f in state.fragments if f > half)
-
-
-def _non_fragmentation_analytic(state: ElasticBandState) -> float:
-    return _superhalf_count(state) / len(state.fragments)
-
-
-def _non_fragmentation_branches(state: ElasticBandState) -> tuple[Branch, ...]:
-    n = len(state.fragments)
-    k = _superhalf_count(state)
-    out = []
-    if k:
-        out.append(Branch(YES, state, k / n))
-    if k < n:
-        out.append(Branch(NO, state, (n - k) / n))
-    return tuple(out)
-
-
-FRAGMENTATION = ObservationProcess(
-    id="fragmentation",
-    scenario=ElasticBandState,
-    kernel=_fragmentation_kernel,
-    analytic=_fragmentation_analytic,
-    branches=_fragmentation_branches,
-    description="blind count-uniform pick from the box; yes when the fragment is strictly "
+FRAGMENTATION = _pick_process(
+    "fragmentation",
+    operator.lt,
+    "blind count-uniform pick from the box; yes when the fragment is strictly "
     "shorter than half the original length (one draw)",
 )
 
-NON_FRAGMENTATION = ObservationProcess(
-    id="non-fragmentation",
-    scenario=ElasticBandState,
-    kernel=_non_fragmentation_kernel,
-    analytic=_non_fragmentation_analytic,
-    branches=_non_fragmentation_branches,
-    description="blind count-uniform pick; yes when the fragment is strictly longer than "
+# a fragment of exactly half answers no to both picks
+NON_FRAGMENTATION = _pick_process(
+    "non-fragmentation",
+    operator.gt,
+    "blind count-uniform pick; yes when the fragment is strictly longer than "
     "half the original length (one draw)",
 )
+
+
+def break_trajectory(seed: int, breaks: int, length: float = 1.0):
+    """Break an unbroken band of ``length`` by left-handedness ``breaks``
+    times, break i on TrialStream(seed, i).
+
+    Yields ``(post_state, subhalf)`` per break, where ``subhalf`` is the
+    number of fragments shorter than half the original length, kept
+    incrementally: only the split fragment and its two pieces change it.
+    """
+    state = ElasticBandState.unbroken(length)
+    half = 0.5 * length
+    subhalf = 0
+    for i in range(breaks):
+        j = _longest_index(state.fragments)
+        parent = state.fragments[j]
+        _outcome, state = _left_handedness_kernel(state, TrialStream(seed, i))
+        left, right = state.fragments[j], state.fragments[j + 1]
+        subhalf += (left < half) + (right < half) - (parent < half)
+        yield state, subhalf

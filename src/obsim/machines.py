@@ -185,23 +185,13 @@ def quantum_machine_prob(gamma: float, profile: BreakageProfile) -> float:
     return _prob_from_cos(math.cos(gamma), profile)
 
 
-def quantum_machine_observe(
-    state: SpherePoint, apparatus: ElasticApparatus, rng: DrawSource
-) -> tuple[Outcome, SpherePoint]:
-    """One machine observation. Consumes one draw for uniform and segment
-    profiles, none for a fixed break point. Post-state is the band endpoint
-    the particle was carried to: +rho on yes, -rho on no."""
-    if not isinstance(state, SpherePoint):
-        raise ScenarioMismatchError(
-            f"quantum machine acts on SpherePoint, got {type(state).__name__}"
-        )
-    rho = apparatus.orientation
-    outcome = _decide(_cos_between(state.direction, rho), apparatus.profile, rng)
-    return outcome, SpherePoint(rho if outcome is YES else _neg(rho))
-
-
 def quantum_machine_process(apparatus: ElasticApparatus, id: str | None = None) -> ObservationProcess:
-    """Bind an apparatus into an ObservationProcess over SpherePoint states."""
+    """Bind an apparatus into an ObservationProcess over SpherePoint states.
+
+    Its kernel is the one machine observation: one draw for uniform and
+    segment profiles, none for a fixed break point; the post-state is the
+    band endpoint the particle was carried to, +rho on yes and -rho on no.
+    """
     rho = apparatus.orientation
     profile = apparatus.profile
     post_plus = SpherePoint(rho)
@@ -266,11 +256,15 @@ class LinePosition:
         return f"line({self.x:.6g})"
 
 
-def _nearest_cavity(ruler: SawtoothRuler, x: float) -> tuple[int, float]:
-    """(lower cavity index, fractional offset in [0, 1))."""
+def _snap(ruler: SawtoothRuler, x: float) -> tuple[tuple[int, float], ...]:
+    """The cavities the particle at ``x`` can snap into, with probabilities:
+    the nearer one with certainty, or both neighbours evenly at a tooth tip."""
     t = (x - ruler.offset) / ruler.pitch
     base = math.floor(t)
-    return base, t - base
+    frac = t - base
+    if frac == 0.5:
+        return ((base, 0.5), (base + 1, 0.5))
+    return ((base + 1 if frac > 0.5 else base, 1.0),)
 
 
 def sawtooth_observe(
@@ -281,13 +275,9 @@ def sawtooth_observe(
     draw picks either neighbour; otherwise no draws are consumed."""
     if not isinstance(state, LinePosition):
         raise ScenarioMismatchError(f"sawtooth acts on LinePosition, got {type(state).__name__}")
-    base, frac = _nearest_cavity(ruler, state.x)
-    if frac == 0.5:
-        k = base + 1 if rng.draw() >= 0.5 else base
-    elif frac > 0.5:
-        k = base + 1
-    else:
-        k = base
+    cavities = _snap(ruler, state.x)
+    pick = 1 if len(cavities) == 2 and rng.draw() >= 0.5 else 0
+    k = cavities[pick][0]
     return k, LinePosition(ruler.center(k))
 
 
@@ -301,21 +291,13 @@ def sawtooth_position_process(
         return (YES if k == target else NO), post
 
     def analytic(state: LinePosition) -> float:
-        base, frac = _nearest_cavity(ruler, state.x)
-        if frac == 0.5:
-            return 0.5 if target in (base, base + 1) else 0.0
-        k = base + 1 if frac > 0.5 else base
-        return 1.0 if k == target else 0.0
+        return sum((p for k, p in _snap(ruler, state.x) if k == target), 0.0)
 
     def branches(state: LinePosition) -> tuple[Branch, ...]:
-        base, frac = _nearest_cavity(ruler, state.x)
-        if frac == 0.5:
-            return tuple(
-                Branch(YES if k == target else NO, LinePosition(ruler.center(k)), 0.5)
-                for k in (base, base + 1)
-            )
-        k = base + 1 if frac > 0.5 else base
-        return (Branch(YES if k == target else NO, LinePosition(ruler.center(k)), 1.0),)
+        return tuple(
+            Branch(YES if k == target else NO, LinePosition(ruler.center(k)), p)
+            for k, p in _snap(ruler, state.x)
+        )
 
     return ObservationProcess(
         id=id or f"sawtooth-position[{target}]",

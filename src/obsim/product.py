@@ -12,20 +12,16 @@ the choice fell on floatability.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional
 
 from .core import (
-    YES,
     Branch,
-    NotDecidableError,
     ObservationProcess,
     Outcome,
     is_actual,
     PropertyDef,
 )
-from .exemplars import DRY_INTACT, FLOATABILITY, NON_BURNABILITY
-from .randomness import DrawSource, TrialStream
-from .stats import TrialReport, build_report
+from .randomness import DrawSource
 
 _WEIGHT_TOL = 1e-12
 
@@ -133,48 +129,6 @@ def product_process(prod: ProductObservation, id: str | None = None) -> Observat
 def meet_actual(prod: ProductObservation, state: object) -> bool:
     """The meet (conjunction) is actual iff every component is actual, i.e.
     the product answers yes with certainty whatever the choice."""
-    for comp in prod.components:
-        if comp.analytic is None:
-            raise NotDecidableError(f"component {comp.id!r} has no analytic yes-probability")
-    return all(is_actual(PropertyDef(comp.id, comp), state) for comp in prod.components)
-
-
-@dataclass(frozen=True)
-class NdcReport:
-    """Demonstration record for the non-deterministic choice argument."""
-
-    trial_report: TrialReport
-    meet_is_actual: bool
-    component_deterministic: Mapping[str, bool]
-    choice_counts: Mapping[str, int]
-
-
-def ndc_theorem_demo(trials: int, seed: int) -> NdcReport:
-    """Run product(non-burnability, floatability) on fresh dry intact wood.
-
-    Each component is individually deterministic on that state, the meet is
-    not actual, and the product's yes-frequency converges to 1/2: the system
-    behaves non-deterministically exactly because the choice does.
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials!r}")
-    prod = ProductObservation((NON_BURNABILITY, FLOATABILITY))
-    yes = 0
-    counts = {c.id: 0 for c in prod.components}
-    for i in range(trials):
-        outcome, _post, chosen = product_observe(prod, DRY_INTACT, TrialStream(seed, i))
-        if outcome is YES:
-            yes += 1
-        counts[chosen] += 1
-    report = build_report(
-        process_id="product(non-burnability,floatability)",
-        state_desc=str(DRY_INTACT),
-        trials=trials,
-        yes=yes,
-        analytic=product_analytic(prod, DRY_INTACT),
-        seed=seed,
-    )
-    deterministic = {
-        c.id: c.analytic_prob(DRY_INTACT) in (0.0, 1.0) for c in prod.components
-    }
-    return NdcReport(report, meet_actual(prod, DRY_INTACT), deterministic, counts)
+    # a list, not a generator: every component must have an analytic, even
+    # after one has already answered no
+    return all([is_actual(PropertyDef(comp.id, comp), state) for comp in prod.components])

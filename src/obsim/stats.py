@@ -2,19 +2,17 @@
 
 Trial i of a run always consumes the draw stream derived from
 (master seed, i), so a report is a pure function of
-(process, state, trials, seed, policy) and is byte-identical however many
-worker threads execute it. Counts are exact integers; derived reals are
-computed once from the totals.
+(process, state, trials, seed, policy). Counts are exact integers; derived
+reals are computed once from the totals.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from statistics import NormalDist
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import YES, ObservationProcess, observe
 from .randomness import TrialStream, substream_seed
@@ -67,36 +65,6 @@ class TrialReport:
     records: Optional[tuple] = None
 
 
-def build_report(
-    process_id: str,
-    state_desc: str,
-    trials: int,
-    yes: int,
-    analytic: Optional[float],
-    seed: int,
-    final_state: object = None,
-    records: Optional[tuple] = None,
-) -> TrialReport:
-    p_hat = yes / trials
-    low, high = wilson_interval(yes, trials, 0.99)
-    z = None
-    if analytic is not None and 0.0 < analytic < 1.0:
-        z = (p_hat - analytic) / math.sqrt(analytic * (1.0 - analytic) / trials)
-    return TrialReport(
-        process_id, state_desc, trials, yes, p_hat, low, high, analytic, z, seed,
-        final_state, records,
-    )
-
-
-def _count_chunk(kernel, state, seed: int, start: int, stop: int) -> int:
-    yes = 0
-    for i in range(start, stop):
-        outcome, _ = kernel(state, TrialStream(seed, i))
-        if outcome is YES:
-            yes += 1
-    return yes
-
-
 def run_trials(
     process: ObservationProcess,
     initial_state: object,
@@ -108,10 +76,10 @@ def run_trials(
 ) -> TrialReport:
     """Run ``trials`` observations and report exact counts.
 
-    FRESH re-prepares ``initial_state`` every trial and may fan out over
-    worker threads (the report does not depend on the worker count).
-    EVOLVING feeds each post-state forward and is inherently sequential.
-    Record collection forces the sequential path.
+    FRESH re-prepares ``initial_state`` every trial; EVOLVING feeds each
+    post-state forward. Trial i draws from TrialStream(seed, i) alone, so the
+    report is the same however the trials are scheduled: they run in one
+    thread in index order, and ``workers`` is accepted but has no effect.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
@@ -122,49 +90,29 @@ def run_trials(
         analytic = process.analytic(initial_state)
 
     records: list | None = [] if collect_records else None
-    final_state: object = None
+    evolving = policy is ResetPolicy.EVOLVING
+    kernel = process.kernel
+    state = initial_state
     yes = 0
-
-    if policy is ResetPolicy.EVOLVING:
-        state = initial_state
-        for i in range(trials):
-            if records is not None:
-                outcome, state, rec = observe(process, state, TrialStream(seed, i), index=i)
-                records.append(rec)
-            else:
-                outcome, state = process.kernel(state, TrialStream(seed, i))
-            if outcome is YES:
-                yes += 1
-        final_state = state
-    elif records is not None:
-        for i in range(trials):
-            outcome, _post, rec = observe(process, initial_state, TrialStream(seed, i), index=i)
+    for i in range(trials):
+        if records is None:
+            outcome, post = kernel(state, TrialStream(seed, i))
+        else:
+            outcome, post, rec = observe(process, state, TrialStream(seed, i), index=i)
             records.append(rec)
-            if outcome is YES:
-                yes += 1
-    elif workers > 1:
-        chunk = -(-trials // workers)
-        bounds = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    lambda b: _count_chunk(process.kernel, initial_state, seed, b[0], b[1]),
-                    bounds,
-                )
-            )
-        yes = sum(parts)  # ordered exact integer reduction
-    else:
-        yes = _count_chunk(process.kernel, initial_state, seed, 0, trials)
+        if outcome is YES:
+            yes += 1
+        if evolving:
+            state = post
 
-    return build_report(
-        process.id,
-        str(initial_state),
-        trials,
-        yes,
-        analytic,
-        seed,
-        final_state=final_state,
-        records=tuple(records) if records is not None else None,
+    p_hat = yes / trials
+    low, high = wilson_interval(yes, trials, 0.99)
+    z = None
+    if analytic is not None and 0.0 < analytic < 1.0:
+        z = (p_hat - analytic) / math.sqrt(analytic * (1.0 - analytic) / trials)
+    return TrialReport(
+        process.id, str(initial_state), trials, yes, p_hat, low, high, analytic, z, seed,
+        state if evolving else None, tuple(records) if records is not None else None,
     )
 
 
@@ -175,15 +123,6 @@ class SweepPoint:
     params: "dict[str, float]"
     process: ObservationProcess
     state: object
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    points: tuple[SweepPoint, ...]
-    reports: tuple[TrialReport, ...]
-    chi_square: Optional[float]
-    dof: int
-    p_value: Optional[float]
 
 
 def chi_square_against_analytic(
@@ -215,25 +154,16 @@ def sweep(
     points: Sequence[SweepPoint],
     trials: int,
     seed: int,
-    workers: int = 1,
-) -> SweepResult:
+) -> tuple[TrialReport, ...]:
     """Run every grid point at ``trials`` trials; point k uses the derived
-    seed substream_seed(seed, k)."""
+    seed substream_seed(seed, k). Pass the reports to
+    :func:`chi_square_against_analytic` for the goodness of fit."""
     if not points:
         raise ValueError("sweep grid must be nonempty")
-    reports = tuple(
-        run_trials(
-            pt.process,
-            pt.state,
-            trials,
-            substream_seed(seed, k),
-            policy=ResetPolicy.FRESH,
-            workers=workers,
-        )
+    return tuple(
+        run_trials(pt.process, pt.state, trials, substream_seed(seed, k))
         for k, pt in enumerate(points)
     )
-    stat, dof, p_value = chi_square_against_analytic(reports)
-    return SweepResult(tuple(points), reports, stat, dof, p_value)
 
 
 def estimator_status(yes: int, trials: int, analytic: float) -> str:

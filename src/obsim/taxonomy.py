@@ -117,14 +117,18 @@ def _branches_or_raise(process: ObservationProcess, state: object) -> tuple[Bran
 
 
 def _confirm(process: ObservationProcess, state: object, want: Branch,
-             match_post: bool) -> Optional[ObservationRecord]:
+             match_post: bool) -> ObservationRecord:
     """Find a replayable record realizing the witnessed branch, by sampling
-    the kernel from the witness state with fixed-seed streams."""
+    the kernel from the witness state with fixed-seed streams. A verdict
+    without its record is not decided, so finding none raises."""
     for t in range(_WITNESS_TRIES):
         outcome, post, record = observe(process, state, TrialStream(_WITNESS_SEED, t), index=t)
         if outcome is want.outcome and (not match_post or post == want.post):
             return record
-    return None
+    raise NotDecidableError(
+        f"process {process.id!r}: no record confirms the {want.outcome.value} branch "
+        f"at witness state {state} in {_WITNESS_TRIES} tries"
+    )
 
 
 def effect_verdict(prop: PropertyDef, probe: StateProbe) -> EffectVerdict:

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -183,11 +186,22 @@ class TestConfigFile:
                    "--out", str(out2)) == 0
         assert read_rows(out2)[1][5] == "60"
 
-    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "text,line,key",
+        [
+            pytest.param("bogus = 1\n", 1, "bogus", id="unknown-key"),
+            pytest.param("trials = abc\n", 1, "trials", id="trials-not-int"),
+            pytest.param("gamma-grid = 3\nseed = 1.5\n", 2, "seed", id="seed-not-int"),
+            pytest.param("# widths\nepsilon = 0.5, x\n", 2, "epsilon", id="epsilon-not-float"),
+        ],
+    )
+    def test_bad_config_line_rejected(self, tmp_path, capsys, text, line, key):
         config = tmp_path / "bad.cfg"
-        config.write_text("bogus = 1\n", encoding="utf-8")
+        config.write_text(text, encoding="utf-8")
         assert run("quantum-machine", "--config", str(config)) == 2
-        assert "bogus" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{config}:{line}:" in err and key in err
+        assert "Traceback" not in err
 
     def test_epsilon_list_in_config(self, tmp_path):
         config = tmp_path / "eps.cfg"
@@ -200,3 +214,20 @@ class TestConfigFile:
     def test_missing_config_file(self, capsys):
         assert run("quantum-machine", "--config", "/nonexistent.cfg") == 2
         assert "--config" in capsys.readouterr().err
+
+
+def test_cli_run_leaves_scipy_stats_unimported(tmp_path):
+    # the CLI reports no chi-square, so a run must not pay for scipy.stats
+    src = Path(cli.__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        "from obsim import cli\n"
+        f"code = cli.main(['quantum-machine', '--gamma-grid', '3', '--trials', '10', "
+        f"'--out', {str(tmp_path / 'qm.csv')!r}])\n"
+        "print(code, 'scipy.stats' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "False"]

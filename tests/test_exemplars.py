@@ -20,6 +20,7 @@ from obsim import (
     SolidState,
     TrialStream,
     WoodState,
+    break_trajectory,
 )
 from obsim.core import NO, YES
 
@@ -150,6 +151,21 @@ class TestLeftHandedness:
             subhalf_before = count
         assert abs(math.fsum(state.fragments) - 1.0) <= 1e-9
         assert all(f > 0.0 for f in state.fragments)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        breaks=st.integers(min_value=0, max_value=300),
+        length=st.sampled_from((1.0, 2.5)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_break_trajectory_is_the_kernel_walk(self, seed, breaks, length):
+        steps = list(break_trajectory(seed, breaks, length))
+        assert len(steps) == breaks
+        state = ElasticBandState.unbroken(length)
+        for i, (post, subhalf) in enumerate(steps):
+            _, state = LEFT_HANDEDNESS.kernel(state, TrialStream(seed, i))
+            assert post == state
+            assert subhalf == state.subhalf_count()
 
     def test_breaking_never_lowers_fragmentation_probability(self):
         # integer cross-multiplication keeps the comparison exact

@@ -14,7 +14,6 @@ from obsim import (
     SpherePoint,
     TrialStream,
     UniformBreak,
-    quantum_machine_observe,
     quantum_machine_prob,
     quantum_machine_process,
     sawtooth_observe,
@@ -87,10 +86,8 @@ class TestPointProfile:
         assert process.analytic(SpherePoint((1.0, 0.0, 0.0))) == 0.0
 
     def test_no_draws_consumed(self):
-        apparatus = ElasticApparatus(RHO, 1.0, PointBreak(0.25))
-        outcome, post = quantum_machine_observe(
-            sphere_point_at(PI / 3), apparatus, SequenceStream(())
-        )
+        process = quantum_machine_process(ElasticApparatus(RHO, 1.0, PointBreak(0.25)))
+        outcome, post = process.kernel(sphere_point_at(PI / 3), SequenceStream(()))
         assert outcome is YES
         assert post == SpherePoint(RHO)
 
@@ -154,18 +151,18 @@ class TestSegmentProfile:
 
 class TestMachineKernel:
     def test_aligned_particle_always_yes(self):
-        apparatus = uniform_apparatus()
+        process = quantum_machine_process(uniform_apparatus())
         state = sphere_point_at(0.0)
         for i in range(200):
-            outcome, post = quantum_machine_observe(state, apparatus, TrialStream(9, i))
+            outcome, post = process.kernel(state, TrialStream(9, i))
             assert outcome is YES
             assert post == SpherePoint(RHO)
 
     def test_antipodal_particle_always_no(self):
-        apparatus = uniform_apparatus()
+        process = quantum_machine_process(uniform_apparatus())
         state = sphere_point_at(PI)
         for i in range(200):
-            outcome, post = quantum_machine_observe(state, apparatus, TrialStream(9, i))
+            outcome, post = process.kernel(state, TrialStream(9, i))
             assert outcome is NO
             assert post == SpherePoint((-0.0, -0.0, -1.0))
 

@@ -15,10 +15,10 @@ from obsim import (
     WET_INTACT,
     is_actual,
     meet_actual,
-    ndc_theorem_demo,
     product_analytic,
     product_observe,
     product_process,
+    run_trials,
 )
 from obsim.core import NO, YES, NotDecidableError, ObservationProcess, ScenarioMismatchError
 
@@ -112,28 +112,29 @@ class TestProductObserve:
 
 
 class TestNdcDemo:
+    COIN = ProductObservation((NON_BURNABILITY, FLOATABILITY))
+
     def test_single_trial_never_errors(self):
-        report = ndc_theorem_demo(1, seed=5).trial_report
+        report = run_trials(product_process(self.COIN), DRY_INTACT, 1, seed=5)
         assert report.yes in (0, 1)
 
     def test_demonstration(self):
-        demo = ndc_theorem_demo(10_000, seed=7)
-        assert not demo.meet_is_actual
-        assert demo.component_deterministic == {
-            "non-burnability": True,
-            "floatability": True,
-        }
-        assert demo.trial_report.analytic == 0.5
-        assert demo.trial_report.wilson_low <= 0.5 <= demo.trial_report.wilson_high
-        assert sum(demo.choice_counts.values()) == 10_000
+        report = run_trials(product_process(self.COIN), DRY_INTACT, 10_000, seed=7)
+        assert not meet_actual(self.COIN, DRY_INTACT)
+        components = self.COIN.components
+        deterministic = {c.id: c.analytic_prob(DRY_INTACT) in (0.0, 1.0) for c in components}
+        assert deterministic == {"non-burnability": True, "floatability": True}
+        assert report.analytic == 0.5
+        assert report.wilson_low <= 0.5 <= report.wilson_high
+        # on dry intact wood the product answers yes exactly when it chose floatability
+        chose_floatability = sum(self.COIN.choose(TrialStream(7, i)) == 1 for i in range(10_000))
+        assert report.yes == chose_floatability
 
     def test_certain_product_is_always_yes(self):
-        from obsim import run_trials
-
         process = product_process(ProductObservation((BURNABILITY, FLOATABILITY)))
         report = run_trials(process, DRY_INTACT, 2000, seed=11)
         assert report.yes == 2000
 
     def test_trials_validation(self):
         with pytest.raises(ValueError):
-            ndc_theorem_demo(0, seed=1)
+            run_trials(product_process(self.COIN), DRY_INTACT, 0, seed=1)

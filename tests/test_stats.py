@@ -9,10 +9,19 @@ from obsim import (
     BURNABILITY,
     DRY_INTACT,
     FLOATABILITY,
+    FRAGMENTATION,
+    INCOMPRESSIBILITY,
     LEFT_HANDEDNESS,
+    NON_BURNABILITY,
+    NON_FRAGMENTATION,
+    YES,
     ElasticApparatus,
     ElasticBandState,
+    LinePosition,
+    PointBreak,
+    ProductObservation,
     ResetPolicy,
+    SawtoothRuler,
     SegmentBreak,
     SolidState,
     SweepPoint,
@@ -20,8 +29,10 @@ from obsim import (
     UniformBreak,
     chi_square_against_analytic,
     estimator_status,
+    product_process,
     quantum_machine_process,
     run_trials,
+    sawtooth_position_process,
     sphere_point_at,
     substream_seed,
     sweep,
@@ -30,7 +41,29 @@ from obsim import (
 )
 from obsim.core import ScenarioMismatchError
 
-MACHINE = quantum_machine_process(ElasticApparatus((0.0, 0.0, 1.0), 1.0, UniformBreak()))
+
+def machine(profile):
+    return quantum_machine_process(ElasticApparatus((0.0, 0.0, 1.0), 1.0, profile))
+
+
+MACHINE = machine(UniformBreak())
+
+# every registered process, each on a state where it has work to do
+PROCESS_CASES = (
+    (BURNABILITY, DRY_INTACT),
+    (NON_BURNABILITY, DRY_INTACT),
+    (FLOATABILITY, DRY_INTACT),
+    (INCOMPRESSIBILITY, SolidState(1.0, 0.05)),
+    (LEFT_HANDEDNESS, ElasticBandState((0.7, 0.3), 1.0)),
+    (FRAGMENTATION, ElasticBandState((0.7, 0.2, 0.1), 1.0)),
+    (NON_FRAGMENTATION, ElasticBandState((0.7, 0.2, 0.1), 1.0)),
+    (MACHINE, sphere_point_at(1.0)),
+    (machine(SegmentBreak(0.5)), sphere_point_at(1.3)),
+    (machine(PointBreak(0.4)), sphere_point_at(1.3)),
+    (sawtooth_position_process(SawtoothRuler(), 0), LinePosition(0.5)),
+    (product_process(ProductObservation((BURNABILITY, FLOATABILITY))), DRY_INTACT),
+    (product_process(ProductObservation((NON_BURNABILITY, FLOATABILITY))), DRY_INTACT),
+)
 
 
 def wilson_roots_oracle(yes, trials, confidence):
@@ -126,6 +159,29 @@ class TestRunTrials:
         assert sum(1 for r in report.records if r.outcome.is_yes) == report.yes
         assert all(verify_replay(MACHINE, r) for r in report.records)
 
+    @given(
+        case=st.sampled_from(PROCESS_CASES),
+        policy=st.sampled_from(ResetPolicy),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        trials=st.integers(min_value=1, max_value=200),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_one_loop_with_or_without_records(self, case, policy, seed, trials):
+        process, state = case
+        plain = run_trials(process, state, trials, seed, policy=policy)
+        recorded = run_trials(process, state, trials, seed, policy=policy, collect_records=True)
+        assert (recorded.yes, recorded.final_state) == (plain.yes, plain.final_state)
+        assert sum(r.outcome is YES for r in recorded.records) == plain.yes
+        yes = 0
+        for i in range(trials):
+            outcome, post = process.kernel(state, TrialStream(seed, i))
+            yes += outcome is YES
+            if policy is ResetPolicy.EVOLVING:
+                state = post
+        assert plain.yes == yes
+        if policy is ResetPolicy.EVOLVING:
+            assert plain.final_state == state
+
     def test_errors(self):
         with pytest.raises(ScenarioMismatchError):
             run_trials(BURNABILITY, SolidState(1.0, 0.0), 10, seed=0)
@@ -139,10 +195,11 @@ class TestSweep:
         points = [
             SweepPoint({"gamma": g}, MACHINE, sphere_point_at(g)) for g in gammas
         ]
-        result = sweep(points, trials=10_000, seed=17)
-        assert result.dof == 11  # the two certain endpoints are excluded
-        assert result.p_value is not None and result.p_value > 0.01
-        for report, g in zip(result.reports, gammas):
+        reports = sweep(points, trials=10_000, seed=17)
+        _stat, dof, p_value = chi_square_against_analytic(reports)
+        assert dof == 11  # the two certain endpoints are excluded
+        assert p_value is not None and p_value > 0.01
+        for report, g in zip(reports, gammas):
             if report.analytic in (0.0, 1.0):
                 assert report.yes in (0, report.trials)
 
@@ -154,8 +211,7 @@ class TestSweep:
                 ElasticApparatus((0.0, 0.0, 1.0), 1.0, SegmentBreak(width))
             )
             points.append(SweepPoint({"eps": width}, process, sphere_point_at(gamma)))
-        result = sweep(points, trials=2_000, seed=8)
-        for point, report in zip(points, result.reports):
+        for point, report in zip(points, sweep(points, trials=2_000, seed=8)):
             if point.params["eps"] < 0.6:  # |cos gamma| above the width: deterministic
                 assert report.yes in (0, report.trials)
 
@@ -165,8 +221,8 @@ class TestSweep:
 
     def test_degenerate_points_excluded_from_chi_square(self):
         points = [SweepPoint({}, FLOATABILITY, DRY_INTACT)]
-        result = sweep(points, trials=50, seed=0)
-        assert result.chi_square is None and result.dof == 0 and result.p_value is None
+        reports = sweep(points, trials=50, seed=0)
+        assert chi_square_against_analytic(reports) == (None, 0, None)
 
     def test_chi_square_helper_matches_z_scores(self):
         reports = [

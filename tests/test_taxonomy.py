@@ -93,6 +93,17 @@ class TestEffect:
         assert verdict.effect is Effect.INVASIVE_CREATION
         assert MACHINE.analytic(verdict.witness_record.post_state) == 1.0
 
+    def test_unconfirmed_witness_is_not_decidable(self):
+        # yes has probability ~2.5e-7 here: the witness exists on paper, but no
+        # record confirms it within the fixed number of tries
+        probe = StateProbe((sphere_point_at(math.pi - 1e-3),))
+        prop = PropertyDef("machine", MACHINE)
+        with pytest.raises(NotDecidableError, match="1024 tries"):
+            effect_verdict(prop, probe)
+        row = classify(prop, probe)
+        assert row.effect is None and row.witness_record is None
+        assert any(note.startswith("effect: ") and "machine" in note for note in row.notes)
+
     def test_not_decidable_without_branches(self):
         bare = ObservationProcess(
             "bare", WoodState, BURNABILITY.kernel, analytic=BURNABILITY.analytic
