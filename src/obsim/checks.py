@@ -7,7 +7,6 @@ unlucky sample.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -203,11 +202,10 @@ def check_elastic_suite(
     failures: list[str] = []
 
     half = 0.5
-    state = ElasticBandState.unbroken(1.0)
-    subhalf = prev_subhalf = 0
+    prev_subhalf = 0
     for i, (state, subhalf) in enumerate(break_trajectory(seed, breaks)):
         if subhalf < prev_subhalf:
-            failures.append(f"sub-half count dropped at break {i}")
+            failures.append(f"sub-half count dropped at break {i - 1}")
             break
         prev_subhalf = subhalf
     total = math.fsum(state.fragments)
@@ -229,10 +227,7 @@ def check_elastic_suite(
 
     frag_prop = PropertyDef("fragmentation", FRAGMENTATION)
     for t in range(trajectories):
-        steps = itertools.chain(
-            [(ElasticBandState.unbroken(1.0), 0)],
-            break_trajectory(substream_seed(seed, 100 + t), trajectory_breaks),
-        )
+        steps = break_trajectory(substream_seed(seed, 100 + t), trajectory_breaks)
         prev_subhalf = 0
         for i, (s, _subhalf) in enumerate(steps):
             if is_actual(frag_prop, s) != (s.max_fragment() < half):

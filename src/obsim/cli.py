@@ -254,8 +254,8 @@ def _scenario_wood_product(cfg: dict) -> tuple[tuple, list[tuple]]:
 
 def _scenario_elastic(cfg: dict) -> tuple[tuple, list[tuple]]:
     seed = cfg["seed"]
-    rows = [(0, 1, 1.0, 1.0, 0, 0.0, seed)]
-    for step, (state, subhalf) in enumerate(break_trajectory(seed, cfg["trials"]), start=1):
+    rows = []
+    for step, (state, subhalf) in enumerate(break_trajectory(seed, cfg["trials"])):
         n = len(state.fragments)
         rows.append((step, n, math.fsum(state.fragments), max(state.fragments),
                      subhalf, subhalf / n, seed))

@@ -120,13 +120,12 @@ class _NoDraws:
         raise AssertionError("deterministic kernel drew from its stream")
 
 
-def _deterministic_process(id: str, scenario: type, kernel, description: str) -> ObservationProcess:
-    """A process whose kernel takes no draws: its analytic yes-probability and
-    its single outcome branch are both read off one kernel call."""
+def _deterministic_process(
+    id: str, scenario: type, kernel, analytic, description: str
+) -> ObservationProcess:
+    """A process whose kernel takes no draws: its single outcome branch is
+    read off one kernel call; the closed-form analytic stays the reference."""
     sink = _NoDraws()
-
-    def analytic(state) -> float:
-        return 1.0 if kernel(state, sink)[0] is YES else 0.0
 
     def branches(state) -> tuple[Branch, ...]:
         outcome, post = kernel(state, sink)
@@ -151,6 +150,11 @@ def _burnability_kernel(state: WoodState, rng: DrawSource) -> tuple[Outcome, Woo
     return NO, state
 
 
+def _burnability_analytic(state: WoodState) -> float:
+    dry_intact = state.integrity is Integrity.INTACT and state.moisture is Moisture.DRY
+    return 1.0 if dry_intact else 0.0
+
+
 def _non_burnability_kernel(state: WoodState, rng: DrawSource) -> tuple[Outcome, WoodState]:
     outcome, post = _burnability_kernel(state, rng)
     return outcome.inverted(), post
@@ -163,10 +167,15 @@ def _floatability_kernel(state: WoodState, rng: DrawSource) -> tuple[Outcome, Wo
     return NO, state
 
 
+def _floatability_analytic(state: WoodState) -> float:
+    return 1.0 if state.integrity is Integrity.INTACT else 0.0
+
+
 BURNABILITY = _deterministic_process(
     "burnability",
     WoodState,
     _burnability_kernel,
+    _burnability_analytic,
     "flame contact for 30 s; yes when the piece disintegrates to ashes (no draws)",
 )
 
@@ -174,6 +183,7 @@ NON_BURNABILITY = _deterministic_process(
     "non-burnability",
     WoodState,
     _non_burnability_kernel,
+    lambda s: 1.0 - _burnability_analytic(s),
     "same procedure as burnability with the outcome inverted (no draws)",
 )
 
@@ -181,6 +191,7 @@ FLOATABILITY = _deterministic_process(
     "floatability",
     WoodState,
     _floatability_kernel,
+    _floatability_analytic,
     "full immersion; yes when buoyancy wins; the piece comes out wet (no draws)",
 )
 
@@ -196,10 +207,15 @@ def _incompressibility_kernel(state: SolidState, rng: DrawSource) -> tuple[Outco
     return outcome, SolidState(state.volume * (1.0 - state.compaction_ratio), 0.0)
 
 
+def _incompressibility_analytic(state: SolidState) -> float:
+    return 1.0 if state.compaction_ratio <= _INCOMPRESSIBLE_MAX_RATIO else 0.0
+
+
 INCOMPRESSIBILITY = _deterministic_process(
     "incompressibility",
     SolidState,
     _incompressibility_kernel,
+    _incompressibility_analytic,
     "standard press; yes when volume loss is at most 1%; compaction is permanent (no draws)",
 )
 
@@ -316,17 +332,19 @@ NON_FRAGMENTATION = _pick_process(
 )
 
 
-def break_trajectory(seed: int, breaks: int, length: float = 1.0):
-    """Break an unbroken band of ``length`` by left-handedness ``breaks``
-    times, break i on TrialStream(seed, i).
+def break_trajectory(seed: int, breaks: int):
+    """Break the unit band by left-handedness ``breaks`` times, break i on
+    TrialStream(seed, i).
 
-    Yields ``(post_state, subhalf)`` per break, where ``subhalf`` is the
-    number of fragments shorter than half the original length, kept
-    incrementally: only the split fragment and its two pieces change it.
+    Yields ``(state, subhalf)`` for the unbroken band and then after each
+    break, where ``subhalf`` is the number of fragments shorter than half
+    the original length, kept incrementally: only the split fragment and
+    its two pieces change it.
     """
-    state = ElasticBandState.unbroken(length)
-    half = 0.5 * length
+    state = ElasticBandState.unbroken(1.0)
+    half = 0.5
     subhalf = 0
+    yield state, subhalf
     for i in range(breaks):
         j = _longest_index(state.fragments)
         parent = state.fragments[j]

@@ -50,6 +50,7 @@ class TestWood:
     )
     def test_burnability(self, state, outcome, post):
         assert BURNABILITY.kernel(state, NONE_STREAM) == (outcome, post)
+        assert BURNABILITY.analytic(state) == (1.0 if outcome is YES else 0.0)
 
     @pytest.mark.parametrize(
         "state,outcome,post",
@@ -61,6 +62,7 @@ class TestWood:
     )
     def test_non_burnability_inverts(self, state, outcome, post):
         assert NON_BURNABILITY.kernel(state, NONE_STREAM) == (outcome, post)
+        assert NON_BURNABILITY.analytic(state) == (1.0 if outcome is YES else 0.0)
 
     @pytest.mark.parametrize(
         "state,outcome,post",
@@ -72,6 +74,7 @@ class TestWood:
     )
     def test_floatability_wets_what_it_confirms(self, state, outcome, post):
         assert FLOATABILITY.kernel(state, NONE_STREAM) == (outcome, post)
+        assert FLOATABILITY.analytic(state) == (1.0 if outcome is YES else 0.0)
 
     def test_float_then_burn_differs_from_burn_then_float(self):
         # both orders answer (yes, no), but along different trajectories
@@ -104,6 +107,8 @@ class TestSolid:
     def test_threshold_is_inclusive(self):
         outcome, _ = INCOMPRESSIBILITY.kernel(SolidState(1.0, 0.01), NONE_STREAM)
         assert outcome is YES
+        assert INCOMPRESSIBILITY.analytic(SolidState(1.0, 0.01)) == 1.0
+        assert INCOMPRESSIBILITY.analytic(SolidState(1.0, 0.0100001)) == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -155,14 +160,14 @@ class TestLeftHandedness:
     @given(
         seed=st.integers(min_value=0, max_value=2**64 - 1),
         breaks=st.integers(min_value=0, max_value=300),
-        length=st.sampled_from((1.0, 2.5)),
     )
     @settings(max_examples=40, deadline=None)
-    def test_break_trajectory_is_the_kernel_walk(self, seed, breaks, length):
-        steps = list(break_trajectory(seed, breaks, length))
-        assert len(steps) == breaks
-        state = ElasticBandState.unbroken(length)
-        for i, (post, subhalf) in enumerate(steps):
+    def test_break_trajectory_is_the_kernel_walk(self, seed, breaks):
+        steps = list(break_trajectory(seed, breaks))
+        assert len(steps) == breaks + 1
+        state = ElasticBandState.unbroken(1.0)
+        assert steps[0] == (state, 0)
+        for i, (post, subhalf) in enumerate(steps[1:]):
             _, state = LEFT_HANDEDNESS.kernel(state, TrialStream(seed, i))
             assert post == state
             assert subhalf == state.subhalf_count()
