@@ -16,8 +16,6 @@ import sys
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from . import __version__, checks, taxonomy
 from .exemplars import (
     BURNABILITY,
@@ -197,11 +195,24 @@ def _merge_config(args: argparse.Namespace) -> dict:
                 raise ConfigError(f"--epsilon must be in [0, 1], got {eps}")
     if cfg["workers"] < 1:
         raise ConfigError(f"--workers must be >= 1, got {cfg['workers']}")
+    out = cfg["out"]
     if cfg["format"] is None:
-        out = cfg["out"]
         cfg["format"] = "json" if out and str(out).endswith(".json") else "csv"
     elif cfg["format"] not in ("csv", "json"):
         raise ConfigError(f"--format must be csv or json, got {cfg['format']}")
+    # --out is checked before any trial runs: 'all' writes into a directory,
+    # created here, and every other scenario writes one file
+    if out is not None:
+        cfg["out"] = out = Path(out)
+    if scenario == "all":
+        if out is None:
+            raise ConfigError("scenario 'all' needs --out pointing at a directory")
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            raise ConfigError(f"cannot create --out directory {out}: {err}") from err
+    elif out is not None and (out.is_dir() or not out.parent.is_dir()):
+        raise ConfigError(f"--out {out} must name a file in an existing directory")
     cfg["scenario"] = scenario
     cfg["check"] = args.check
     return cfg
@@ -210,7 +221,9 @@ def _merge_config(args: argparse.Namespace) -> dict:
 def _machine_rows(cfg: dict, widths: Optional[Sequence[float]]) -> list[tuple]:
     """Shared by the quantum-machine and epsilon-sweep scenarios; a width of
     None means the uniform band (reported as epsilon 1, its exact equivalent)."""
-    gammas = [float(g) for g in np.linspace(0.0, math.pi, cfg["gamma_grid"])]
+    n = cfg["gamma_grid"]
+    step = math.pi / (n - 1)
+    gammas = [k * step for k in range(n - 1)] + [math.pi]
     points = []
     for width in widths if widths is not None else [None]:
         profile = UniformBreak() if width is None else SegmentBreak(width)
@@ -310,20 +323,15 @@ def _run(argv: Optional[Sequence[str]]) -> int:
     scenario = cfg["scenario"]
 
     if scenario == "all":
-        if cfg["out"] is None:
-            raise ConfigError("scenario 'all' needs --out pointing at a directory")
-        outdir = Path(cfg["out"])
-        outdir.mkdir(parents=True, exist_ok=True)
         for name, runner in _SCENARIO_RUNNERS.items():
             sub_cfg = dict(cfg)
             sub_cfg["trials"] = min(cfg["trials"], _DEFAULT_TRIALS[name])
             header, rows = runner(sub_cfg)
-            path = outdir / f"{name.replace('-', '_')}.{cfg['format']}"
+            path = cfg["out"] / f"{name.replace('-', '_')}.{cfg['format']}"
             _emit(sub_cfg, name, header, rows, path)
     else:
         header, rows = _SCENARIO_RUNNERS[scenario](cfg)
-        out = Path(cfg["out"]) if cfg["out"] is not None else None
-        _emit(cfg, scenario, header, rows, out)
+        _emit(cfg, scenario, header, rows, cfg["out"])
 
     if cfg["check"]:
         failures = []

@@ -59,6 +59,16 @@ class Branch:
     prob: float
 
 
+def yes_no_branches(p_yes: float, yes_post: object, p_no: float, no_post: object) -> tuple[Branch, ...]:
+    """The yes and no branches of a two-outcome process, dropping any branch
+    of probability 0 (an unreachable outcome has no branch)."""
+    return tuple(
+        Branch(outcome, post, p)
+        for outcome, post, p in ((YES, yes_post, p_yes), (NO, no_post, p_no))
+        if p > 0.0
+    )
+
+
 Kernel = Callable[[object, DrawSource], "tuple[Outcome, object]"]
 
 

@@ -17,7 +17,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import NO, YES, Branch, ObservationProcess, Outcome
+from .core import NO, YES, Branch, ObservationProcess, Outcome, yes_no_branches
 from .randomness import DrawSource, TrialStream
 
 
@@ -299,12 +299,7 @@ def _pick_process(id: str, compare, description: str) -> ObservationProcess:
     def branches(state: ElasticBandState) -> tuple[Branch, ...]:
         n = len(state.fragments)
         k = count(state)
-        out = []
-        if k:
-            out.append(Branch(YES, state, k / n))
-        if k < n:
-            out.append(Branch(NO, state, (n - k) / n))
-        return tuple(out)
+        return yes_no_branches(k / n, state, (n - k) / n, state)
 
     return ObservationProcess(
         id=id,

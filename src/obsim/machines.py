@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from .core import NO, YES, Branch, ObservationProcess, Outcome, ScenarioMismatchError
+from .core import NO, YES, Branch, ObservationProcess, Outcome, ScenarioMismatchError, yes_no_branches
 from .randomness import DrawSource
 
 _NORM_TOL = 1e-9
@@ -153,12 +153,8 @@ def _prob_from_cos(c: float, profile: BreakageProfile) -> float:
         return 1.0 if 0.5 * (1.0 + c) > profile.position else 0.0
     w = profile.width
     if w == 0.0:
-        # degenerate middle-point band: the limit of the segment formula
-        if c > 0.0:
-            return 1.0
-        if c < 0.0:
-            return 0.0
-        return 0.5
+        # degenerate middle-point band, like PointBreak(0.5): ties resolve to no
+        return 1.0 if c > 0.0 else 0.0
     return max(0.0, min(1.0, 0.5 * (1.0 + c / w)))
 
 
@@ -177,8 +173,9 @@ def quantum_machine_prob(gamma: float, profile: BreakageProfile) -> float:
     """Closed-form yes-probability at angle ``gamma`` (radians, in [0, pi]).
 
     Uniform: (1 + cos gamma) / 2. Segment(eps): clamp((1 + cos gamma/eps)/2, 0, 1),
-    with the eps = 0 limit 1 / 0 / 0.5 by sign of cos gamma. Point(x): 1 when the
-    particle lands strictly above the break point, else 0 (ties to no).
+    and for eps = 0 the midpoint break: 1 when cos gamma > 0, else 0 (ties to no).
+    Point(x): 1 when the particle lands strictly above the break point, else 0
+    (ties to no).
     """
     if not 0.0 <= gamma <= math.pi:
         raise ValueError(f"gamma must be in [0, pi], got {gamma!r}")
@@ -206,12 +203,7 @@ def quantum_machine_process(apparatus: ElasticApparatus, id: str | None = None) 
 
     def branches(state: SpherePoint) -> tuple[Branch, ...]:
         p = analytic(state)
-        out = []
-        if p > 0.0:
-            out.append(Branch(YES, post_plus, p))
-        if p < 1.0:
-            out.append(Branch(NO, post_minus, 1.0 - p))
-        return tuple(out)
+        return yes_no_branches(p, post_plus, 1.0 - p, post_minus)
 
     return ObservationProcess(
         id=id or f"quantum-machine[{profile}]",

@@ -1,16 +1,17 @@
 """Seedable Monte Carlo trial runner and statistical comparison helpers.
 
-Trial i of a run always consumes the draw stream derived from
-(master seed, i), so a report is a pure function of
-(process, state, trials, seed, policy). Counts are exact integers; derived
-reals are computed once from the totals.
+Every trial observes a freshly prepared copy of the same initial state, and
+trial i always consumes the draw stream derived from (master seed, i), so a
+report is a pure function of (process, state, trials, seed). Counts are
+exact integers; derived reals are computed once from the totals. The one
+walk that feeds each post-state into the next observation, the breaking
+elastic band, is ``exemplars.break_trajectory``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from statistics import NormalDist
 from typing import Optional, Sequence
 
@@ -42,11 +43,6 @@ def wilson_interval(yes: int, trials: int, confidence: float) -> tuple[float, fl
     return low, high
 
 
-class ResetPolicy(Enum):
-    FRESH = "fresh"        # re-prepare the initial state each trial
-    EVOLVING = "evolving"  # feed the post-state forward (trajectory runs)
-
-
 @dataclass(frozen=True)
 class TrialReport:
     """Exact counts plus derived estimates for one batch of trials."""
@@ -61,7 +57,6 @@ class TrialReport:
     analytic: Optional[float]
     z_score: Optional[float]
     seed: int
-    final_state: object = None
     records: Optional[tuple] = None
 
 
@@ -70,40 +65,34 @@ def run_trials(
     initial_state: object,
     trials: int,
     seed: int,
-    policy: ResetPolicy = ResetPolicy.FRESH,
     workers: int = 1,
     collect_records: bool = False,
 ) -> TrialReport:
-    """Run ``trials`` observations and report exact counts.
+    """Observe ``initial_state`` afresh ``trials`` times and report exact counts.
 
-    FRESH re-prepares ``initial_state`` every trial; EVOLVING feeds each
-    post-state forward. Trial i draws from TrialStream(seed, i) alone, so the
-    report is the same however the trials are scheduled: they run in one
-    thread in index order, and ``workers`` is accepted but has no effect.
+    Trial i draws from TrialStream(seed, i) alone, so the report is the same
+    however the trials are scheduled: they run in one thread in index order,
+    and ``workers`` is accepted but has no effect.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
     process.check_scenario(initial_state)
 
     analytic = None
-    if process.analytic is not None and policy is ResetPolicy.FRESH:
+    if process.analytic is not None:
         analytic = process.analytic(initial_state)
 
     records: list | None = [] if collect_records else None
-    evolving = policy is ResetPolicy.EVOLVING
     kernel = process.kernel
-    state = initial_state
     yes = 0
     for i in range(trials):
         if records is None:
-            outcome, post = kernel(state, TrialStream(seed, i))
+            outcome, _post = kernel(initial_state, TrialStream(seed, i))
         else:
-            outcome, post, rec = observe(process, state, TrialStream(seed, i), index=i)
+            outcome, _post, rec = observe(process, initial_state, TrialStream(seed, i), index=i)
             records.append(rec)
         if outcome is YES:
             yes += 1
-        if evolving:
-            state = post
 
     p_hat = yes / trials
     low, high = wilson_interval(yes, trials, 0.99)
@@ -112,7 +101,7 @@ def run_trials(
         z = (p_hat - analytic) / math.sqrt(analytic * (1.0 - analytic) / trials)
     return TrialReport(
         process.id, str(initial_state), trials, yes, p_hat, low, high, analytic, z, seed,
-        state if evolving else None, tuple(records) if records is not None else None,
+        tuple(records) if records is not None else None,
     )
 
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from obsim import cli
@@ -141,6 +142,29 @@ class TestOutputs:
             "quantum_machine.csv", "wood_product.csv",
         ]
 
+    @pytest.mark.parametrize(
+        "scenario,target",
+        [
+            pytest.param("elastic", "missing/band.csv", id="parent-missing"),
+            pytest.param("elastic", ".", id="out-is-directory"),
+            pytest.param("all", "taken.csv", id="all-out-is-file"),
+        ],
+    )
+    def test_bad_out_rejected_before_any_trial(self, tmp_path, monkeypatch, capsys,
+                                               scenario, target):
+        def must_not_run(cfg):
+            raise AssertionError("a scenario ran before --out was checked")
+
+        monkeypatch.setattr(cli, "_SCENARIO_RUNNERS",
+                            {name: must_not_run for name in cli._SCENARIO_RUNNERS})
+        (tmp_path / "taken.csv").write_text("keep\n")
+        out = tmp_path / target
+        assert run(scenario, "--trials", "6000", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "--out" in err and "Traceback" not in err
+        assert (tmp_path / "taken.csv").read_text() == "keep\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken.csv"]
+
     def test_all_requires_out(self, capsys):
         assert run("all", "--trials", "10") == 2
         assert "--out" in capsys.readouterr().err
@@ -217,17 +241,24 @@ class TestConfigFile:
 
 
 def test_cli_run_leaves_scipy_stats_unimported(tmp_path):
-    # the CLI reports no chi-square, so a run must not pay for scipy.stats
+    # the CLI reports no chi-square and builds its angle grid in plain floats,
+    # so a run must pay for neither scipy.stats nor numpy
     src = Path(cli.__file__).resolve().parents[1]
     script = (
         "import sys\n"
         "from obsim import cli\n"
         f"code = cli.main(['quantum-machine', '--gamma-grid', '3', '--trials', '10', "
         f"'--out', {str(tmp_path / 'qm.csv')!r}])\n"
-        "print(code, 'scipy.stats' in sys.modules)\n"
+        "print(code, 'scipy.stats' in sys.modules, 'numpy' in sys.modules)\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["0", "False"]
+    assert done.stdout.split() == ["0", "False", "False"]
+
+
+@pytest.mark.parametrize("n", [2, 3, 13, 25, 101, 1000])
+def test_gamma_grid_is_linspace_bit_for_bit(n):
+    rows = cli._machine_rows({"gamma_grid": n, "trials": 1, "seed": 0}, None)
+    assert [row[0].hex() for row in rows] == [g.hex() for g in np.linspace(0.0, math.pi, n).tolist()]

@@ -20,9 +20,13 @@ from obsim import (
     NotDecidableError,
     ObservationProcess,
     Outcome,
+    PointBreak,
     PropertyDef,
     ScenarioMismatchError,
+    SegmentBreak,
+    SequenceStream,
     SolidState,
+    SpherePoint,
     TrialStream,
     UniformBreak,
     WoodState,
@@ -52,6 +56,61 @@ ALL_PROCESS_STATES = [
     (NON_FRAGMENTATION, ElasticBandState((0.4, 0.3, 0.3), 1.0)),
     (MACHINE, sphere_point_at(math.pi / 3)),
 ]
+
+
+# two-outcome processes built on core.yes_no_branches: the machine over every
+# profile kind (widths 0 and 1 included) and both blind picks over small bands
+RHO = (0.0, 0.0, 1.0)
+PROFILES = st.one_of(
+    st.just(UniformBreak()),
+    st.one_of(st.sampled_from((0.0, 1.0)), st.floats(min_value=0.0, max_value=1.0)).map(SegmentBreak),
+    st.floats(min_value=0.0, max_value=1.0).map(PointBreak),
+)
+SPHERE_STATES = st.one_of(
+    st.floats(min_value=0.0, max_value=math.pi).map(sphere_point_at),
+    st.sampled_from((SpherePoint(RHO), SpherePoint((0.0, 0.0, -1.0)), SpherePoint((1.0, 0.0, 0.0)))),
+)
+FRAGMENT_LISTS = st.lists(
+    st.one_of(st.sampled_from((0.125, 0.25, 0.5)), st.floats(min_value=1e-3, max_value=1.0)),
+    min_size=1,
+    max_size=6,
+)
+TWO_OUTCOME_CASES = st.one_of(
+    st.builds(
+        lambda profile, state: (quantum_machine_process(ElasticApparatus(RHO, 1.0, profile)), state),
+        PROFILES,
+        SPHERE_STATES,
+    ),
+    st.builds(
+        lambda process, frags: (process, ElasticBandState(tuple(frags), math.fsum(frags))),
+        st.sampled_from((FRAGMENTATION, NON_FRAGMENTATION)),
+        FRAGMENT_LISTS,
+    ),
+)
+DRAW_GRID = 60  # a multiple of every band size above, so each pick index gets equal draws
+
+
+class TestTwoOutcomeBranches:
+    @given(case=TWO_OUTCOME_CASES, seed=st.integers(min_value=0, max_value=2**64 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_branches_analytic_and_kernel_agree(self, case, seed):
+        process, state = case
+        branches = process.branches(state)
+        analytic = process.analytic(state)
+        assert math.fsum(b.prob for b in branches) == pytest.approx(1.0, abs=1e-15)
+        assert sum(b.prob for b in branches if b.outcome is YES) == analytic
+        assert all(b.prob > 0.0 for b in branches)
+        if analytic in (0.0, 1.0):
+            certain = YES if analytic == 1.0 else NO
+            assert all(process.kernel(state, TrialStream(seed, i))[0] is certain for i in range(50))
+        # the kernel's yes share over an even grid of single draws is the
+        # analytic value to within one grid step; this is what catches an
+        # analytic value strictly inside (0, 1) that the kernel never realizes
+        yes = sum(
+            process.kernel(state, SequenceStream(((j + 0.5) / DRAW_GRID,)))[0] is YES
+            for j in range(DRAW_GRID)
+        )
+        assert abs(yes / DRAW_GRID - analytic) <= 1.0 / DRAW_GRID
 
 
 class TestOutcome:

@@ -172,6 +172,12 @@ class TestLeftHandedness:
             assert post == state
             assert subhalf == state.subhalf_count()
 
+    def test_trajectory_grows_the_band(self):
+        # the one walk that feeds each post-state into the next observation
+        *_, (state, _subhalf) = break_trajectory(2, 3)
+        assert len(state.fragments) == 4
+        state.validate()
+
     def test_breaking_never_lowers_fragmentation_probability(self):
         # integer cross-multiplication keeps the comparison exact
         for t in range(20):

@@ -100,11 +100,9 @@ class TestSegmentProfile:
                 gamma, UniformBreak()
             )
 
-    def test_width_zero_equals_midpoint_break_off_ties(self):
+    def test_width_zero_equals_midpoint_break(self):
         for k in range(26):
             gamma = k * PI / 25
-            if math.cos(gamma) == 0.0:
-                continue
             assert quantum_machine_prob(gamma, SegmentBreak(0.0)) == quantum_machine_prob(
                 gamma, PointBreak(0.5)
             )
@@ -112,8 +110,11 @@ class TestSegmentProfile:
     def test_width_zero_limit_cases(self):
         assert quantum_machine_prob(PI / 4, SegmentBreak(0.0)) == 1.0
         assert quantum_machine_prob(3 * PI / 4, SegmentBreak(0.0)) == 0.0
+        # cos gamma is exactly 0: the particle lands on the break point, a tie
         process = quantum_machine_process(ElasticApparatus(RHO, 1.0, SegmentBreak(0.0)))
-        assert process.analytic(SpherePoint((1.0, 0.0, 0.0))) == 0.5
+        tie = SpherePoint((1.0, 0.0, 0.0))
+        assert process.analytic(tie) == 0.0
+        assert {process.kernel(tie, TrialStream(3, i))[0] for i in range(200)} == {NO}
 
     def test_formula_matches_integration_oracle(self):
         # the derived closed form against direct quadrature of the break density

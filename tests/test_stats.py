@@ -20,7 +20,6 @@ from obsim import (
     LinePosition,
     PointBreak,
     ProductObservation,
-    ResetPolicy,
     SawtoothRuler,
     SegmentBreak,
     SolidState,
@@ -128,17 +127,6 @@ class TestRunTrials:
         assert abs(report.p_hat - 0.5) <= 4 * math.sqrt(0.25 / 100_000)
         assert report.z_score is not None and abs(report.z_score) <= 4
 
-    def test_evolving_policy_grows_the_band(self):
-        report = run_trials(
-            LEFT_HANDEDNESS,
-            ElasticBandState.unbroken(1.0),
-            3,
-            seed=2,
-            policy=ResetPolicy.EVOLVING,
-        )
-        assert len(report.final_state.fragments) == 4
-        assert report.analytic is None
-
     def test_seed_determinism_across_workers(self):
         state = sphere_point_at(1.0)
         one = run_trials(MACHINE, state, 20_000, seed=9, workers=1)
@@ -161,26 +149,22 @@ class TestRunTrials:
 
     @given(
         case=st.sampled_from(PROCESS_CASES),
-        policy=st.sampled_from(ResetPolicy),
         seed=st.integers(min_value=0, max_value=2**64 - 1),
         trials=st.integers(min_value=1, max_value=200),
     )
     @settings(max_examples=200, deadline=None)
-    def test_one_loop_with_or_without_records(self, case, policy, seed, trials):
+    def test_one_loop_with_or_without_records(self, case, seed, trials):
         process, state = case
-        plain = run_trials(process, state, trials, seed, policy=policy)
-        recorded = run_trials(process, state, trials, seed, policy=policy, collect_records=True)
-        assert (recorded.yes, recorded.final_state) == (plain.yes, plain.final_state)
+        plain = run_trials(process, state, trials, seed)
+        recorded = run_trials(process, state, trials, seed, collect_records=True)
+        assert recorded.yes == plain.yes
         assert sum(r.outcome is YES for r in recorded.records) == plain.yes
+        assert all(r.pre_state == state for r in recorded.records)
         yes = 0
         for i in range(trials):
-            outcome, post = process.kernel(state, TrialStream(seed, i))
+            outcome, _post = process.kernel(state, TrialStream(seed, i))
             yes += outcome is YES
-            if policy is ResetPolicy.EVOLVING:
-                state = post
         assert plain.yes == yes
-        if policy is ResetPolicy.EVOLVING:
-            assert plain.final_state == state
 
     def test_errors(self):
         with pytest.raises(ScenarioMismatchError):
