@@ -14,7 +14,6 @@ import numpy as np
 
 from obsim import (
     ElasticApparatus,
-    SweepPoint,
     UniformBreak,
     chi_square_against_analytic,
     quantum_machine_process,
@@ -24,13 +23,11 @@ from obsim import (
 
 process = quantum_machine_process(ElasticApparatus((0.0, 0.0, 1.0), 1.0, UniformBreak()))
 
-gammas = np.linspace(0.0, math.pi, 13)
-points = [SweepPoint({"gamma": float(g)}, process, sphere_point_at(float(g))) for g in gammas]
-reports = sweep(points, trials=20_000, seed=42)
+gammas = [float(g) for g in np.linspace(0.0, math.pi, 13)]
+reports = sweep([(process, sphere_point_at(g)) for g in gammas], trials=20_000, seed=42)
 
 print(f"{'gamma/pi':>9} {'analytic':>9} {'empirical':>10} {'wilson 99% interval':>22}")
-for point, report in zip(points, reports):
-    g = point.params["gamma"]
+for g, report in zip(gammas, reports):
     print(
         f"{g / math.pi:9.3f} {report.analytic:9.4f} {report.p_hat:10.4f}"
         f"      [{report.wilson_low:.4f}, {report.wilson_high:.4f}]"

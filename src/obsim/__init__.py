@@ -69,7 +69,6 @@ from .product import (
 )
 from .randomness import RecordingStream, SequenceStream, TrialStream, substream_seed
 from .stats import (
-    SweepPoint,
     TrialReport,
     chi_square_against_analytic,
     estimator_status,

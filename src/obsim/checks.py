@@ -25,17 +25,10 @@ from .exemplars import (
     SolidState,
     break_trajectory,
 )
-from .machines import (
-    ElasticApparatus,
-    SegmentBreak,
-    UniformBreak,
-    quantum_machine_process,
-    quantum_machine_prob,
-    sphere_point_at,
-)
+from .machines import SegmentBreak, UniformBreak, machine_points, quantum_machine_prob
 from .product import ProductObservation, meet_actual, product_process
 from .randomness import TrialStream, substream_seed
-from .stats import SweepPoint, run_trials, sweep
+from .stats import run_trials, sweep
 from .taxonomy import taxonomy_table
 
 ACCEPTANCE_SEED = 42
@@ -60,11 +53,9 @@ def _result(name: str, failures: list[str], detail_ok: str) -> CheckResult:
 def check_uniform_curve(seed: int = ACCEPTANCE_SEED, trials: int = 100_000) -> CheckResult:
     """Two-outcome machine, uniform band: empirical frequency vs the closed
     form (1 + cos gamma)/2 on the eight canonical angles; exact at 0 and pi."""
-    apparatus = ElasticApparatus((0.0, 0.0, 1.0), 1.0, UniformBreak())
-    process = quantum_machine_process(apparatus)
     failures: list[str] = []
     t0 = time.perf_counter()
-    points = [SweepPoint({"gamma": g}, process, sphere_point_at(g)) for g in _EQ1_GAMMAS]
+    points = machine_points(UniformBreak(), _EQ1_GAMMAS)
     for gamma, report in zip(_EQ1_GAMMAS, sweep(points, trials, seed)):
         p = quantum_machine_prob(gamma, UniformBreak())
         if p in (0.0, 1.0):
@@ -115,21 +106,16 @@ def check_segment_regime_map(
     gammas = [k * _PI / (grid_points - 1) for k in range(grid_points)]
     failures: list[str] = []
 
+    labels, points = [], []
     for width in widths:
         for gamma in gammas:
             formula = quantum_machine_prob(gamma, SegmentBreak(width))
             if abs(formula - segment_prob_oracle(gamma, width)) > 1e-9:
                 failures.append(f"oracle mismatch at gamma={gamma:.4f}, eps={width}")
+        labels += [(width, gamma) for gamma in gammas]
+        points += machine_points(SegmentBreak(width), gammas)
 
-    points = []
-    for width in widths:
-        process = quantum_machine_process(
-            ElasticApparatus((0.0, 0.0, 1.0), 1.0, SegmentBreak(width))
-        )
-        points += [SweepPoint({"eps": width, "gamma": g}, process, sphere_point_at(g))
-                   for g in gammas]
-    for point, report in zip(points, sweep(points, trials, seed)):
-        width, gamma = point.params["eps"], point.params["gamma"]
+    for (width, gamma), report in zip(labels, sweep(points, trials, seed)):
         c = math.cos(gamma)
         expected = quantum_machine_prob(gamma, SegmentBreak(width))
         if abs(c) > width:
@@ -166,19 +152,18 @@ def check_product_choice_theorem(seed: int = ACCEPTANCE_SEED, trials: int = 10_0
     failures: list[str] = []
 
     certain = ProductObservation((BURNABILITY, FLOATABILITY))
-    yes = run_trials(product_process(certain), DRY_INTACT, trials, seed).yes
-    if yes != trials:
-        failures.append(f"burnability*floatability: {yes}/{trials} yes, expected all")
+    coin = ProductObservation((NON_BURNABILITY, FLOATABILITY))
+    sure, report = sweep([(product_process(certain), DRY_INTACT),
+                          (product_process(coin), DRY_INTACT)], trials, seed)
+    if sure.yes != trials:
+        failures.append(f"burnability*floatability: {sure.yes}/{trials} yes, expected all")
     if not meet_actual(certain, DRY_INTACT):
         failures.append("burnability*floatability meet should be actual")
 
-    coin = ProductObservation((NON_BURNABILITY, FLOATABILITY))
-    report = run_trials(product_process(coin), DRY_INTACT, trials, seed + 1)
     low, high = report.wilson_low, report.wilson_high
     if not (low <= 0.5 <= high):
-        failures.append(
-            f"non-burnability*floatability: 0.5 outside Wilson 99% [{low:.4f}, {high:.4f}]"
-        )
+        failures.append(f"non-burnability*floatability: 0.5 outside Wilson 99% "
+                        f"[{low:.4f}, {high:.4f}]")
     if meet_actual(coin, DRY_INTACT):
         failures.append("non-burnability*floatability meet should not be actual")
 

@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -24,10 +25,9 @@ from .exemplars import (
     NON_BURNABILITY,
     break_trajectory,
 )
-from .machines import ElasticApparatus, SegmentBreak, UniformBreak, quantum_machine_process, sphere_point_at
+from .machines import SegmentBreak, UniformBreak, machine_points
 from .product import ProductObservation, meet_actual, product_process
-from .randomness import substream_seed
-from .stats import SweepPoint, run_trials, sweep
+from .stats import sweep
 from .taxonomy import default_suite, taxonomy_table
 
 SCENARIOS = ("quantum-machine", "epsilon-sweep", "wood-product", "elastic", "classify", "all")
@@ -89,24 +89,27 @@ def emit_csv(out: Optional[Path], header: Sequence[str], rows: Iterable[Sequence
 def emit_json(out: Optional[Path], meta: dict, header: Sequence[str],
               rows: Iterable[Sequence]) -> None:
     """JSON mirror of the CSV schema: row objects under "rows" plus "meta"."""
-    payload = {
-        "meta": meta,
-        "rows": [
-            {key: (None if value == "" else value) for key, value in zip(header, row)}
-            for row in rows
-        ],
-    }
-    _write_text(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    objects = [{key: (None if value == "" else value) for key, value in zip(header, row)}
+               for row in rows]
+    _write_text(out, json.dumps({"meta": meta, "rows": objects}, indent=2, sort_keys=True) + "\n")
 
 
 def _write_text(out: Optional[Path], text: str) -> None:
     if out is None:
         sys.stdout.write(text)
         return
+    # a new or regular file gets a temp file and an atomic rename, so a failed write
+    # leaves no half-written file; a device, FIFO or symlink is written through
+    atomic = not out.is_symlink() and (out.is_file() or not out.exists())
+    tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp") if atomic else out
     try:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+        if atomic:
+            os.replace(tmp, out)
     except OSError as err:
+        if atomic:  # never unlink the target itself
+            tmp.unlink(missing_ok=True)
         raise ConfigError(f"cannot write --out {out}: {err}") from err
 
 
@@ -115,7 +118,7 @@ def parse_config_file(path: Path) -> dict:
     values: dict = {}
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read --config {path}: {err}") from err
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -129,6 +132,8 @@ def parse_config_file(path: Path) -> dict:
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
+            if not value.replace(",", " ").split():
+                raise ValueError("empty value")  # not a silent default or an empty grid
             if key in ("trials", "seed", "gamma_grid", "workers"):
                 values[key] = int(value)
             elif key == "epsilon":
@@ -193,6 +198,9 @@ def _merge_config(args: argparse.Namespace) -> dict:
         for eps in cfg["epsilon"]:
             if not 0.0 <= eps <= 1.0:
                 raise ConfigError(f"--epsilon must be in [0, 1], got {eps}")
+        if len(cfg["epsilon"]) > 1 and scenario in ("quantum-machine", "all"):
+            raise ConfigError(f"{scenario} takes at most one --epsilon; "
+                              "use epsilon-sweep for several")
     if cfg["workers"] < 1:
         raise ConfigError(f"--workers must be >= 1, got {cfg['workers']}")
     out = cfg["out"]
@@ -200,13 +208,18 @@ def _merge_config(args: argparse.Namespace) -> dict:
         cfg["format"] = "json" if out and str(out).endswith(".json") else "csv"
     elif cfg["format"] not in ("csv", "json"):
         raise ConfigError(f"--format must be csv or json, got {cfg['format']}")
-    # --out is checked before any trial runs: 'all' writes into a directory,
-    # created here, and every other scenario writes one file
+    # --out is checked before any trial runs: 'all' writes one file per scenario
+    # into a directory, created here, and every other scenario writes one file
+    if out == "":  # Path("") would be the working directory
+        raise ConfigError("--out must not be empty")
     if out is not None:
         cfg["out"] = out = Path(out)
     if scenario == "all":
         if out is None:
             raise ConfigError("scenario 'all' needs --out pointing at a directory")
+        for name in _SCENARIO_RUNNERS:
+            if _bundle_file(cfg, name).is_dir():
+                raise ConfigError(f"--out {out}: {_bundle_file(cfg, name)} is a directory")
         try:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as err:
@@ -218,31 +231,30 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
+def _bundle_file(cfg: dict, name: str) -> Path:
+    """Where scenario ``name`` writes inside the 'all' directory."""
+    return cfg["out"] / f"{name.replace('-', '_')}.{cfg['format']}"
+
+
 def _machine_rows(cfg: dict, widths: Optional[Sequence[float]]) -> list[tuple]:
     """Shared by the quantum-machine and epsilon-sweep scenarios; a width of
     None means the uniform band (reported as epsilon 1, its exact equivalent)."""
     n = cfg["gamma_grid"]
     step = math.pi / (n - 1)
     gammas = [k * step for k in range(n - 1)] + [math.pi]
-    points = []
+    labels, points = [], []
     for width in widths if widths is not None else [None]:
-        profile = UniformBreak() if width is None else SegmentBreak(width)
-        process = quantum_machine_process(ElasticApparatus((0.0, 0.0, 1.0), 1.0, profile))
-        eps = 1.0 if width is None else width
-        points += [SweepPoint({"gamma": g, "epsilon": eps}, process, sphere_point_at(g))
-                   for g in gammas]
+        labels += [(g, 1.0 if width is None else width) for g in gammas]
+        points += machine_points(UniformBreak() if width is None else SegmentBreak(width), gammas)
     return [
-        (pt.params["gamma"], pt.params["epsilon"], report.analytic, report.p_hat, report.yes,
-         report.trials, report.wilson_low, report.wilson_high, report.seed)
-        for pt, report in zip(points, sweep(points, cfg["trials"], cfg["seed"]))
+        (gamma, eps, report.analytic, report.p_hat, report.yes, report.trials,
+         report.wilson_low, report.wilson_high, report.seed)
+        for (gamma, eps), report in zip(labels, sweep(points, cfg["trials"], cfg["seed"]))
     ]
 
 
 def _scenario_quantum_machine(cfg: dict) -> tuple[tuple, list[tuple]]:
-    eps = cfg["epsilon"]
-    if eps is not None and len(eps) > 1:
-        raise ConfigError("quantum-machine takes at most one --epsilon; use epsilon-sweep for several")
-    return QM_HEADER, _machine_rows(cfg, eps)
+    return QM_HEADER, _machine_rows(cfg, cfg["epsilon"])
 
 
 def _scenario_epsilon_sweep(cfg: dict) -> tuple[tuple, list[tuple]]:
@@ -251,18 +263,17 @@ def _scenario_epsilon_sweep(cfg: dict) -> tuple[tuple, list[tuple]]:
 
 
 def _scenario_wood_product(cfg: dict) -> tuple[tuple, list[tuple]]:
-    rows = []
     products = (
         ProductObservation((BURNABILITY, FLOATABILITY)),
         ProductObservation((NON_BURNABILITY, FLOATABILITY)),
     )
-    for k, prod in enumerate(products):
-        process = product_process(prod)
-        report = run_trials(process, DRY_INTACT, cfg["trials"], substream_seed(cfg["seed"], k))
-        rows.append((process.id, report.trials, report.yes, report.p_hat, report.analytic,
-                     report.wilson_low, report.wilson_high, meet_actual(prod, DRY_INTACT),
-                     report.seed))
-    return WOOD_HEADER, rows
+    processes = [product_process(prod) for prod in products]
+    reports = sweep([(process, DRY_INTACT) for process in processes], cfg["trials"], cfg["seed"])
+    return WOOD_HEADER, [
+        (process.id, report.trials, report.yes, report.p_hat, report.analytic,
+         report.wilson_low, report.wilson_high, meet_actual(prod, DRY_INTACT), report.seed)
+        for prod, process, report in zip(products, processes, reports)
+    ]
 
 
 def _scenario_elastic(cfg: dict) -> tuple[tuple, list[tuple]]:
@@ -327,8 +338,7 @@ def _run(argv: Optional[Sequence[str]]) -> int:
             sub_cfg = dict(cfg)
             sub_cfg["trials"] = min(cfg["trials"], _DEFAULT_TRIALS[name])
             header, rows = runner(sub_cfg)
-            path = cfg["out"] / f"{name.replace('-', '_')}.{cfg['format']}"
-            _emit(sub_cfg, name, header, rows, path)
+            _emit(sub_cfg, name, header, rows, _bundle_file(cfg, name))
     else:
         header, rows = _SCENARIO_RUNNERS[scenario](cfg)
         _emit(cfg, scenario, header, rows, cfg["out"])

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .core import NO, YES, Branch, ObservationProcess, Outcome, yes_no_branches
-from .randomness import DrawSource, TrialStream
+from .randomness import DrawSource, TrialStream, pick_index
 
 
 class Integrity(str, Enum):
@@ -276,11 +276,6 @@ LEFT_HANDEDNESS = ObservationProcess(
 )
 
 
-def _pick_index(n: int, rng: DrawSource) -> int:
-    i = int(rng.draw() * n)
-    return n - 1 if i >= n else i
-
-
 def _pick_process(id: str, compare, description: str) -> ObservationProcess:
     """Blind count-uniform pick of one fragment (one draw, non-invasive);
     yes when ``compare(fragment, half the original length)`` holds."""
@@ -290,7 +285,7 @@ def _pick_process(id: str, compare, description: str) -> ObservationProcess:
         return sum(1 for f in state.fragments if compare(f, half))
 
     def kernel(state: ElasticBandState, rng: DrawSource) -> tuple[Outcome, ElasticBandState]:
-        i = _pick_index(len(state.fragments), rng)
+        i = pick_index(rng, len(state.fragments))
         return (YES if compare(state.fragments[i], 0.5 * state.original_length) else NO), state
 
     def analytic(state: ElasticBandState) -> float:

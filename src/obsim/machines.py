@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .core import NO, YES, Branch, ObservationProcess, Outcome, ScenarioMismatchError, yes_no_branches
-from .randomness import DrawSource
+from .randomness import DrawSource, pick_index
 
 _NORM_TOL = 1e-9
 
@@ -166,7 +166,9 @@ def _decide(c: float, profile: BreakageProfile, rng: DrawSource) -> Outcome:
         return YES if 0.5 * (1.0 + c) > profile.position else NO
     if isinstance(profile, UniformBreak):
         return YES if rng.draw() - 0.5 < 0.5 * c else NO
-    return YES if (rng.draw() - 0.5) * profile.width < 0.5 * c else NO
+    # both sides scaled exactly by 2**600: the same comparison wherever the product
+    # is normal, and a subnormal width cannot underflow it to 0 (a tie at c = 0)
+    return YES if (rng.draw() - 0.5) * (profile.width * 2.0**600) < 2.0**599 * c else NO
 
 
 def quantum_machine_prob(gamma: float, profile: BreakageProfile) -> float:
@@ -219,6 +221,13 @@ def quantum_machine_process(apparatus: ElasticApparatus, id: str | None = None) 
     )
 
 
+def machine_points(profile: BreakageProfile, gammas) -> list[tuple[ObservationProcess, SpherePoint]]:
+    """(process, state) pairs for :func:`stats.sweep`: the standard machine, a
+    unit-length band along +z with ``profile``, at each angle of ``gammas``."""
+    process = quantum_machine_process(ElasticApparatus((0.0, 0.0, 1.0), 1.0, profile))
+    return [(process, sphere_point_at(g)) for g in gammas]
+
+
 @dataclass(frozen=True)
 class SawtoothRuler:
     """Cavity lattice along a line: centers at offset + k * pitch."""
@@ -268,8 +277,7 @@ def sawtooth_observe(
     if not isinstance(state, LinePosition):
         raise ScenarioMismatchError(f"sawtooth acts on LinePosition, got {type(state).__name__}")
     cavities = _snap(ruler, state.x)
-    pick = 1 if len(cavities) == 2 and rng.draw() >= 0.5 else 0
-    k = cavities[pick][0]
+    k = cavities[pick_index(rng, 2) if len(cavities) == 2 else 0][0]
     return k, LinePosition(ruler.center(k))
 
 

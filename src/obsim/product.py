@@ -12,7 +12,6 @@ the choice fell on floatability.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .core import (
     Branch,
@@ -21,18 +20,15 @@ from .core import (
     is_actual,
     PropertyDef,
 )
-from .randomness import DrawSource
-
-_WEIGHT_TOL = 1e-12
+from .randomness import DrawSource, pick_index
 
 
 @dataclass(frozen=True)
 class ProductObservation:
-    """A set of component processes plus a choice distribution (uniform by
-    default). All components must act on the same scenario variant."""
+    """A set of component processes, one of which is chosen uniformly at
+    random. All components must act on the same scenario variant."""
 
     components: tuple[ObservationProcess, ...]
-    weights: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
         if not self.components:
@@ -43,35 +39,14 @@ class ProductObservation:
                 raise ValueError(
                     f"components mix scenarios: {scenario.__name__} vs {comp.scenario.__name__}"
                 )
-        if self.weights is not None:
-            if len(self.weights) != len(self.components):
-                raise ValueError("weights and components differ in length")
-            if any(w < 0.0 for w in self.weights):
-                raise ValueError("weights must be nonnegative")
-            if abs(sum(self.weights) - 1.0) > _WEIGHT_TOL:
-                raise ValueError(f"weights must sum to 1, got {sum(self.weights)!r}")
 
     @property
     def scenario(self) -> type:
         return self.components[0].scenario
 
-    def effective_weights(self) -> tuple[float, ...]:
-        if self.weights is not None:
-            return self.weights
-        n = len(self.components)
-        return tuple(1.0 / n for _ in range(n))
-
     def choose(self, rng: DrawSource) -> int:
-        """Draw a component index per the weights (one draw)."""
-        r = rng.draw()
-        acc = 0.0
-        last = 0
-        for i, w in enumerate(self.effective_weights()):
-            acc += w
-            last = i
-            if r < acc:
-                return i
-        return last  # guard against float drift in the cumulative sum
+        """Draw a component index uniformly (one draw)."""
+        return pick_index(rng, len(self.components))
 
 
 def product_observe(
@@ -86,12 +61,8 @@ def product_observe(
 
 
 def product_analytic(prod: ProductObservation, state: object) -> float:
-    """Weight-average of the component yes-probabilities."""
-    weights = prod.effective_weights()
-    total = 0.0
-    for comp, w in zip(prod.components, weights):
-        total += w * comp.analytic_prob(state)
-    return total
+    """Mean of the component yes-probabilities."""
+    return sum(comp.analytic_prob(state) for comp in prod.components) / len(prod.components)
 
 
 def product_process(prod: ProductObservation, id: str | None = None) -> ObservationProcess:
@@ -107,13 +78,11 @@ def product_process(prod: ProductObservation, id: str | None = None) -> Observat
         return product_analytic(prod, state)
 
     def branches(state) -> tuple[Branch, ...]:
-        out = []
-        for comp, w in zip(prod.components, prod.effective_weights()):
-            if w <= 0.0:
-                continue
-            for b in comp.branches(state):
-                out.append(Branch(b.outcome, b.post, w * b.prob))
-        return tuple(out)
+        n = len(prod.components)
+        return tuple(
+            Branch(b.outcome, b.post, b.prob / n)
+            for comp in prod.components for b in comp.branches(state)
+        )
 
     return ObservationProcess(
         id=id or "product(" + ",".join(c.id for c in prod.components) + ")",
@@ -122,7 +91,7 @@ def product_process(prod: ProductObservation, id: str | None = None) -> Observat
         analytic=analytic if have_analytic else None,
         branches=branches if have_branches else None,
         posts_exact=all(c.posts_exact for c in prod.components),
-        description="choose one component per the weights (one draw), then run it",
+        description="choose one component uniformly (one draw), then run it",
     )
 
 

@@ -58,6 +58,12 @@ class TrialStream:
         return ((s ^ (s >> 31)) >> 11) * _INV_2_53
 
 
+def pick_index(rng: DrawSource, n: int) -> int:
+    """Uniform index in range(n) from one draw: ``int(draw * n)``."""
+    i = int(rng.draw() * n)
+    return n - 1 if i >= n else i
+
+
 def substream_seed(master_seed: int, index: int) -> int:
     """Derive an independent 64-bit sub-seed (used for per-point sweep seeds).
 

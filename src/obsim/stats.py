@@ -105,15 +105,6 @@ def run_trials(
     )
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    """One grid point: parameter labels plus the bound process and state."""
-
-    params: "dict[str, float]"
-    process: ObservationProcess
-    state: object
-
-
 def chi_square_against_analytic(
     reports: Sequence[TrialReport],
 ) -> tuple[Optional[float], int, Optional[float]]:
@@ -140,18 +131,18 @@ def chi_square_against_analytic(
 
 
 def sweep(
-    points: Sequence[SweepPoint],
+    points: Sequence[tuple[ObservationProcess, object]],
     trials: int,
     seed: int,
 ) -> tuple[TrialReport, ...]:
-    """Run every grid point at ``trials`` trials; point k uses the derived
-    seed substream_seed(seed, k). Pass the reports to
+    """Run every (process, state) pair at ``trials`` trials; pair k uses the
+    derived seed substream_seed(seed, k). Pass the reports to
     :func:`chi_square_against_analytic` for the goodness of fit."""
     if not points:
         raise ValueError("sweep grid must be nonempty")
     return tuple(
-        run_trials(pt.process, pt.state, trials, substream_seed(seed, k))
-        for k, pt in enumerate(points)
+        run_trials(process, state, trials, substream_seed(seed, k))
+        for k, (process, state) in enumerate(points)
     )
 
 

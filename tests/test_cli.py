@@ -1,13 +1,20 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
+import re
+import stat
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from obsim import cli
 from obsim.checks import CheckResult
@@ -16,6 +23,12 @@ from obsim.cli import ELASTIC_HEADER, QM_HEADER, TAXONOMY_HEADER, WOOD_HEADER, e
 
 def run(*argv):
     return cli.main(list(argv))
+
+
+def _tree(root: Path) -> dict:
+    """Every path under ``root`` with its bytes (None for a directory)."""
+    return {str(p.relative_to(root)): None if p.is_dir() else p.read_bytes()
+            for p in sorted(root.rglob("*"))}
 
 
 def read_rows(path: Path):
@@ -148,6 +161,7 @@ class TestOutputs:
             pytest.param("elastic", "missing/band.csv", id="parent-missing"),
             pytest.param("elastic", ".", id="out-is-directory"),
             pytest.param("all", "taken.csv", id="all-out-is-file"),
+            pytest.param("all", "busy", id="all-target-is-directory"),
         ],
     )
     def test_bad_out_rejected_before_any_trial(self, tmp_path, monkeypatch, capsys,
@@ -158,15 +172,62 @@ class TestOutputs:
         monkeypatch.setattr(cli, "_SCENARIO_RUNNERS",
                             {name: must_not_run for name in cli._SCENARIO_RUNNERS})
         (tmp_path / "taken.csv").write_text("keep\n")
+        (tmp_path / "busy" / "elastic.csv").mkdir(parents=True)  # blocks one 'all' target
+        before = _tree(tmp_path)
         out = tmp_path / target
         assert run(scenario, "--trials", "6000", "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert "--out" in err and "Traceback" not in err
-        assert (tmp_path / "taken.csv").read_text() == "keep\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken.csv"]
+        assert _tree(tmp_path) == before
+
+    def test_all_with_two_epsilons_creates_nothing(self, tmp_path, capsys):
+        out = tmp_path / "bundle"
+        assert run("all", "--trials", "10", "--out", str(out),
+                   "--epsilon", "0.5", "--epsilon", "0.7") == 2
+        assert "--epsilon" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failed_write_leaves_the_old_file(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "band.csv"
+        out.write_text("old\n")
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        assert run("elastic", "--trials", "5", "--out", str(out)) == 2
+        assert "--out" in capsys.readouterr().err
+        assert out.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["band.csv"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_fifo_target_is_written_through(self, tmp_path):
+        # a device or pipe (/dev/null, /dev/stdout, <(...)) must not be renamed over
+        fifo = tmp_path / "pipe.csv"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert run("elastic", "--trials", "5", "--out", str(fifo)) == 0
+            data = os.read(reader, 1 << 16).decode()
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert data.splitlines()[0] == ",".join(ELASTIC_HEADER)
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe.csv"]
+
+    def test_symlink_target_is_written_through(self, tmp_path):
+        real = tmp_path / "real.csv"
+        real.write_text("old\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(real)
+        assert run("elastic", "--trials", "5", "--out", str(link)) == 0
+        assert link.is_symlink()
+        assert read_rows(real)[0] == list(ELASTIC_HEADER)
 
     def test_all_requires_out(self, capsys):
         assert run("all", "--trials", "10") == 2
+        assert "--out" in capsys.readouterr().err
+        assert run("all", "--trials", "10", "--out", "") == 2  # not the working directory
         assert "--out" in capsys.readouterr().err
 
     def test_taxonomy_schema(self, tmp_path):
@@ -217,6 +278,9 @@ class TestConfigFile:
             pytest.param("trials = abc\n", 1, "trials", id="trials-not-int"),
             pytest.param("gamma-grid = 3\nseed = 1.5\n", 2, "seed", id="seed-not-int"),
             pytest.param("# widths\nepsilon = 0.5, x\n", 2, "epsilon", id="epsilon-not-float"),
+            pytest.param("trials = 10\nepsilon =\n", 2, "epsilon", id="epsilon-empty"),
+            pytest.param("epsilon = ,\n", 1, "epsilon", id="epsilon-only-commas"),
+            pytest.param("out =\n", 1, "out", id="out-empty"),
         ],
     )
     def test_bad_config_line_rejected(self, tmp_path, capsys, text, line, key):
@@ -235,9 +299,14 @@ class TestConfigFile:
         eps_values = {row[1] for row in read_rows(out)[1:]}
         assert eps_values == {"0.25", "0.75"}
 
-    def test_missing_config_file(self, capsys):
+    def test_missing_config_file(self, tmp_path, capsys):
         assert run("quantum-machine", "--config", "/nonexistent.cfg") == 2
         assert "--config" in capsys.readouterr().err
+        latin1 = tmp_path / "latin1.cfg"
+        latin1.write_bytes(b"# \xe9psilon\ntrials = 10\n")
+        assert run("quantum-machine", "--config", str(latin1)) == 2
+        err = capsys.readouterr().err
+        assert "--config" in err and "Traceback" not in err
 
 
 def test_cli_run_leaves_scipy_stats_unimported(tmp_path):
@@ -262,3 +331,79 @@ def test_cli_run_leaves_scipy_stats_unimported(tmp_path):
 def test_gamma_grid_is_linspace_bit_for_bit(n):
     rows = cli._machine_rows({"gamma_grid": n, "trials": 1, "seed": 0}, None)
     assert [row[0].hex() for row in rows] == [g.hex() for g in np.linspace(0.0, math.pi, n).tolist()]
+
+
+# --- the CLI contract on generated input -------------------------------------
+# Every run either succeeds (0) or exits 2 naming a flag or the config's
+# path:line, never with a traceback, and an exit 2 leaves the file tree as it
+# was. Trials stay <= 20 and grids <= 4 so a few hundred runs take seconds.
+
+OUT_NAMES = ("r.csv", "r.json", "bundle", "missing/r.csv", ".", "taken.csv", "busy")
+CONFIG_VALUES = ("", "0", "1", "3", "20", "-1", "1.5", "0.5", "0.25, 0.75", ",", "nan",
+                 "abc", "csv", "json", "xml", "1e3")
+CONFIG_LINES = st.one_of(
+    st.tuples(st.sampled_from(("trials", "seed", "gamma-grid", "gamma_grid", "epsilon",
+                               "format", "workers", "bogus", "check")),
+              st.sampled_from(CONFIG_VALUES)),
+    st.tuples(st.just("out"), st.sampled_from(("",) + OUT_NAMES)),
+    st.sampled_from((("# note", None), ("no equals sign", None), ("", None))),
+)
+
+
+def _flag(name, values):
+    return st.one_of(st.just(()), st.sampled_from(values).map(lambda v: (name, v)))
+
+
+ARGV_TAILS = st.tuples(
+    st.sampled_from(cli.SCENARIOS),
+    st.sampled_from(("1", "2", "7", "20", "0", "-1")).map(lambda n: ("--trials", n)),
+    st.sampled_from(("2", "3", "4", "1")).map(lambda n: ("--gamma-grid", n)),
+    _flag("--seed", ("0", "7", str(2**64 - 1), "-1", str(2**64), "x")),
+    st.lists(st.sampled_from(("0", "0.5", "1", "0.25", "1.5", "nan", "x")), max_size=2).map(
+        lambda ws: tuple(a for w in ws for a in ("--epsilon", w))),
+    _flag("--format", ("csv", "json", "csv", "json", "xml")),
+    _flag("--workers", ("1", "3", "0")),
+    _flag("--out", ("",) + OUT_NAMES),
+)
+
+
+@given(
+    tail=ARGV_TAILS,
+    lines=st.one_of(st.none(), st.none(), st.lists(CONFIG_LINES, max_size=3)),
+    bad_byte=st.sampled_from((False, False, False, True)),
+)
+@settings(max_examples=300, deadline=None)
+def test_cli_contract_on_generated_input(tail, lines, bad_byte):
+    scenario, *flags = tail
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "taken.csv").write_text("keep\n")
+        (root / "busy" / "elastic.csv").mkdir(parents=True)  # blocks one 'all' target
+
+        def path(name):
+            return str(root / name) if name else ""
+
+        argv = [scenario]
+        for flag in flags:
+            if flag:
+                argv += [flag[0], path(flag[1]) if flag[0] == "--out" else flag[1]]
+        config = root / "run.cfg"
+        if lines is not None:
+            text = "".join(
+                f"{key}\n" if value is None
+                else f"{key} = {path(value) if key == 'out' else value}\n"
+                for key, value in lines
+            ).encode("utf-8")
+            config.write_bytes(text + (b"seed = \xff\n" if bad_byte else b""))
+            argv += ["--config", str(config)]
+        before = _tree(root)
+        err, out = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        err = err.getvalue()
+        event(f"exit {code}")
+        assert code in (0, 2, 3), (argv, err)
+        assert "Traceback" not in err
+        if code == 2:
+            assert re.search(r"--[a-z]", err) or f"{config}:" in err, (argv, err)
+            assert _tree(root) == before, argv

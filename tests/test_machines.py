@@ -116,6 +116,18 @@ class TestSegmentProfile:
         assert process.analytic(tie) == 0.0
         assert {process.kernel(tie, TrialStream(3, i))[0] for i in range(200)} == {NO}
 
+    @pytest.mark.parametrize("width", [5e-324, 1e-310, 2.0**-1000, 1e-300, 0.5])
+    def test_tiny_width_keeps_the_tie_fair(self, width):
+        # at cos gamma = 0 every positive width answers yes exactly when the
+        # break lands below the midpoint, even where width * draw is subnormal
+        process = quantum_machine_process(ElasticApparatus(RHO, 1.0, SegmentBreak(width)))
+        tie = SpherePoint((1.0, 0.0, 0.0))
+        assert process.analytic(tie) == 0.5
+        below = [j / 64 for j in range(32)] + [0.5 - 2.0**-53]
+        above = [0.5 + j / 64 for j in range(32)] + [1.0 - 2.0**-53]
+        assert all(process.kernel(tie, SequenceStream((r,)))[0] is YES for r in below)
+        assert all(process.kernel(tie, SequenceStream((r,)))[0] is NO for r in above)
+
     def test_formula_matches_integration_oracle(self):
         # the derived closed form against direct quadrature of the break density
         for width in (0.1, 0.25, 0.5, 0.75, 0.9, 1.0):

@@ -32,10 +32,6 @@ class TestProductLaw:
             expected = 0.5 * BURNABILITY.analytic(state) + 0.5 * FLOATABILITY.analytic(state)
             assert product_analytic(prod, state) == pytest.approx(expected, abs=1e-15)
 
-    def test_biased_weights(self):
-        prod = ProductObservation((NON_BURNABILITY, FLOATABILITY), weights=(0.3, 0.7))
-        assert product_analytic(prod, DRY_INTACT) == pytest.approx(0.7, abs=1e-15)
-
     def test_process_wrapper_exposes_analytic(self):
         process = product_process(ProductObservation((BURNABILITY, FLOATABILITY)))
         for state in WOOD_STATES:
@@ -99,12 +95,6 @@ class TestProductObserve:
     def test_validation(self):
         with pytest.raises(ValueError):
             ProductObservation(())
-        with pytest.raises(ValueError):
-            ProductObservation((BURNABILITY,), weights=(0.5, 0.5))
-        with pytest.raises(ValueError):
-            ProductObservation((BURNABILITY, FLOATABILITY), weights=(-0.1, 1.1))
-        with pytest.raises(ValueError):
-            ProductObservation((BURNABILITY, FLOATABILITY), weights=(0.6, 0.6))
         from obsim import INCOMPRESSIBILITY
 
         with pytest.raises(ValueError):

@@ -23,7 +23,6 @@ from obsim import (
     SawtoothRuler,
     SegmentBreak,
     SolidState,
-    SweepPoint,
     TrialStream,
     UniformBreak,
     chi_square_against_analytic,
@@ -176,9 +175,7 @@ class TestRunTrials:
 class TestSweep:
     def test_gamma_grid_goodness_of_fit(self):
         gammas = [k * math.pi / 12 for k in range(13)]
-        points = [
-            SweepPoint({"gamma": g}, MACHINE, sphere_point_at(g)) for g in gammas
-        ]
+        points = [(MACHINE, sphere_point_at(g)) for g in gammas]
         reports = sweep(points, trials=10_000, seed=17)
         _stat, dof, p_value = chi_square_against_analytic(reports)
         assert dof == 11  # the two certain endpoints are excluded
@@ -189,14 +186,10 @@ class TestSweep:
 
     def test_epsilon_grid_deterministic_points_have_zero_variance(self):
         gamma = math.acos(0.6)
-        points = []
-        for width in (0.0, 0.25, 0.5, 1.0):
-            process = quantum_machine_process(
-                ElasticApparatus((0.0, 0.0, 1.0), 1.0, SegmentBreak(width))
-            )
-            points.append(SweepPoint({"eps": width}, process, sphere_point_at(gamma)))
-        for point, report in zip(points, sweep(points, trials=2_000, seed=8)):
-            if point.params["eps"] < 0.6:  # |cos gamma| above the width: deterministic
+        widths = (0.0, 0.25, 0.5, 1.0)
+        points = [(machine(SegmentBreak(width)), sphere_point_at(gamma)) for width in widths]
+        for width, report in zip(widths, sweep(points, trials=2_000, seed=8)):
+            if width < 0.6:  # |cos gamma| above the width: deterministic
                 assert report.yes in (0, report.trials)
 
     def test_empty_grid_rejected(self):
@@ -204,8 +197,7 @@ class TestSweep:
             sweep([], trials=10, seed=0)
 
     def test_degenerate_points_excluded_from_chi_square(self):
-        points = [SweepPoint({}, FLOATABILITY, DRY_INTACT)]
-        reports = sweep(points, trials=50, seed=0)
+        reports = sweep([(FLOATABILITY, DRY_INTACT)], trials=50, seed=0)
         assert chi_square_against_analytic(reports) == (None, 0, None)
 
     def test_chi_square_helper_matches_z_scores(self):
