@@ -38,6 +38,7 @@ from .exemplars import (
     NON_BURNABILITY,
     NON_FRAGMENTATION,
     WET_INTACT,
+    BandStep,
     ElasticBandState,
     Integrity,
     Moisture,

@@ -188,17 +188,18 @@ def check_elastic_suite(
 
     half = 0.5
     prev_subhalf = 0
-    for i, (state, subhalf) in enumerate(break_trajectory(seed, breaks)):
-        if subhalf < prev_subhalf:
+    for i, step in enumerate(break_trajectory(seed, breaks)):
+        if step.subhalf < prev_subhalf:
             failures.append(f"sub-half count dropped at break {i - 1}")
             break
-        prev_subhalf = subhalf
+        prev_subhalf = step.subhalf
+    state = step.state()
     total = math.fsum(state.fragments)
     if abs(total - 1.0) > 1e-9:
         failures.append(f"length drifted to {total!r} after {breaks} breaks")
     if len(state.fragments) != breaks + 1:
         failures.append(f"expected {breaks + 1} fragments, got {len(state.fragments)}")
-    if subhalf != state.subhalf_count():
+    if step.subhalf != state.subhalf_count():
         failures.append("incremental sub-half bookkeeping disagrees with direct count")
 
     report = run_trials(
@@ -214,7 +215,8 @@ def check_elastic_suite(
     for t in range(trajectories):
         steps = break_trajectory(substream_seed(seed, 100 + t), trajectory_breaks)
         prev_subhalf = 0
-        for i, (s, _subhalf) in enumerate(steps):
+        for i, step in enumerate(steps):
+            s = step.state()
             if is_actual(frag_prop, s) != (s.max_fragment() < half):
                 failures.append(f"actuality threshold broken on trajectory {t} step {i}")
                 break

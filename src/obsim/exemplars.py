@@ -12,10 +12,12 @@ original length).
 
 from __future__ import annotations
 
+import heapq
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from typing import Iterable, Iterator
 
 from .core import NO, YES, Branch, ObservationProcess, Outcome, yes_no_branches
 from .randomness import DrawSource, TrialStream, pick_index
@@ -71,12 +73,15 @@ class SolidState:
 
 @dataclass(frozen=True)
 class ElasticBandState:
-    """Fragment lengths of an elastic band, in the order breaks produced them.
+    """Fragment lengths of an elastic band in positional order: a break
+    puts the two pieces of the longest fragment in its place, left piece
+    first.
 
     Invariants (kept by the kernels, checked by :meth:`validate`): fragments
     are strictly positive and sum to ``original_length`` within 1e-9. The
-    constructor only checks cheap structure so long trajectories stay O(n)
-    per break.
+    constructor only checks cheap structure: one kernel call costs O(n) for
+    the new tuple, and :func:`break_trajectory` builds a state only when a
+    step is asked for one.
     """
 
     fragments: tuple[float, ...]
@@ -235,20 +240,25 @@ def _split_longest(state: ElasticBandState, r: float) -> tuple[float, ...]:
     return frags[:i] + (left, longest - left) + frags[i + 1 :]
 
 
-def _left_handedness_kernel(
-    state: ElasticBandState, rng: DrawSource
-) -> tuple[Outcome, ElasticBandState]:
+def _break_point(longest: float, rng: DrawSource) -> tuple[float, float, float]:
+    """Draw the break point of a fragment: ``(r, left, right)`` with
+    ``left = r * longest`` and ``right = longest - left``."""
     # one draw (redrawn on the measure-zero values that would leave a
     # zero-length piece, so the positivity invariant is airtight)
-    frags = state.fragments
-    i = _longest_index(frags)
-    longest = frags[i]
     while True:
         r = rng.draw()
         left = r * longest
         right = longest - left
         if left > 0.0 and right > 0.0:
-            break
+            return r, left, right
+
+
+def _left_handedness_kernel(
+    state: ElasticBandState, rng: DrawSource
+) -> tuple[Outcome, ElasticBandState]:
+    frags = state.fragments
+    i = _longest_index(frags)
+    r, left, right = _break_point(frags[i], rng)
     outcome = YES if r > 0.5 else NO
     post = ElasticBandState(frags[:i] + (left, right) + frags[i + 1 :], state.original_length)
     return outcome, post
@@ -322,23 +332,97 @@ NON_FRAGMENTATION = _pick_process(
 )
 
 
-def break_trajectory(seed: int, breaks: int):
-    """Break the unit band by left-handedness ``breaks`` times, break i on
-    TrialStream(seed, i).
+# --- elastic trajectories ---------------------------------------------------
 
-    Yields ``(state, subhalf)`` for the unbroken band and then after each
-    break, where ``subhalf`` is the number of fragments shorter than half
-    the original length, kept incrementally: only the split fragment and
-    its two pieces change it.
+@dataclass(slots=True, eq=False)
+class BandStep:
+    """One step of :func:`break_trajectory`: the band after
+    ``n_fragments - 1`` breaks, described by values the walk keeps as it goes.
+
+    ``total_length`` equals ``math.fsum`` of the fragments bit for bit,
+    ``max_fragment`` is the longest fragment and ``subhalf`` counts the
+    fragments shorter than half the original length. :meth:`state` builds the
+    full band in O(n) from the walk's append-only split log, so a step kept
+    after the walk has moved on still builds its own state.
     """
-    state = ElasticBandState.unbroken(1.0)
+
+    n_fragments: int
+    total_length: float
+    max_fragment: float
+    subhalf: int
+    _parents: list[int] = field(repr=False)
+    _lengths: list[float] = field(repr=False)
+
+    def state(self) -> ElasticBandState:
+        # fragment 0 is the unbroken band; break i split fragment parents[i]
+        # into fragments 2i + 1 (left piece) and 2i + 2 (right piece)
+        breaks = self.n_fragments - 1
+        first_child = dict(zip(self._parents[:breaks], range(1, 2 * breaks, 2)))
+        fragments = []
+        stack = [0]
+        while stack:
+            f = stack.pop()
+            child = first_child.get(f)
+            if child is None:
+                fragments.append(self._lengths[f])
+            else:
+                stack += (child + 1, child)  # the left piece pops first
+        return ElasticBandState(tuple(fragments), self._lengths[0])
+
+
+def _add_exact(partials: list[float], x: float) -> None:
+    """Add ``x`` to an exact sum held as non-overlapping partials (Shewchuk,
+    Discrete Comput. Geom. 1997; the algorithm behind ``math.fsum``), so
+    ``math.fsum(partials)`` rounds the exact sum once."""
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    partials[i:] = [x]
+
+
+def _walk(streams: Iterable[DrawSource]) -> Iterator[BandStep]:
+    """Break the unit band once per stream, as ``_left_handedness_kernel``
+    would, in O(log n) per break; yields the unbroken band, then each break."""
     half = 0.5
+    parents: list[int] = []
+    lengths = [1.0]
+    # live fragments as (-length, path, id): the top is the longest, and the
+    # leftmost of equal lengths, because the path (one byte per split, 0 for
+    # the left piece, 1 for the right) sorts fragments in positional order
+    heap = [(-1.0, b"", 0)]
+    partials = [1.0]
     subhalf = 0
-    yield state, subhalf
-    for i in range(breaks):
-        j = _longest_index(state.fragments)
-        parent = state.fragments[j]
-        _outcome, state = _left_handedness_kernel(state, TrialStream(seed, i))
-        left, right = state.fragments[j], state.fragments[j + 1]
-        subhalf += (left < half) + (right < half) - (parent < half)
-        yield state, subhalf
+    yield BandStep(1, 1.0, 1.0, subhalf, parents, lengths)
+    for i, rng in enumerate(streams):
+        neg_longest, path, parent = heap[0]
+        longest = -neg_longest
+        _r, left, right = _break_point(longest, rng)
+        parents.append(parent)
+        lengths += (left, right)
+        heapq.heapreplace(heap, (-left, path + b"\x00", 2 * i + 1))
+        heapq.heappush(heap, (-right, path + b"\x01", 2 * i + 2))
+        _add_exact(partials, left)
+        _add_exact(partials, right)
+        _add_exact(partials, neg_longest)
+        subhalf += (left < half) + (right < half) - (longest < half)
+        yield BandStep(i + 2, math.fsum(partials), -heap[0][0], subhalf, parents, lengths)
+
+
+def break_trajectory(seed: int, breaks: int) -> Iterator[BandStep]:
+    """Break the unit band by left-handedness ``breaks`` times, break i on
+    TrialStream(seed, i): the one walk that feeds each post-state into the
+    next observation.
+
+    Yields a :class:`BandStep` for the unbroken band and then after each
+    break. Step k's ``state()`` is the state that k calls of
+    ``LEFT_HANDEDNESS.kernel`` on the same streams reach; one break costs
+    O(log n).
+    """
+    return _walk(TrialStream(seed, i) for i in range(breaks))

@@ -56,6 +56,34 @@ class TestExitCodes:
         assert run("quantum-machine", "--gamma-grid", "1", "--trials", "10") == 2
         assert "--gamma-grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,flag,bound",
+        [
+            (("elastic", "--trials", "200001"), "--trials", "200000"),
+            (("quantum-machine", "--trials", "10000001"), "--trials", "10000000"),
+            (("all", "--trials", "10000001", "--out", "bundle"), "--trials", "10000000"),
+            (("quantum-machine", "--gamma-grid", "1000000000"), "--gamma-grid", "10000"),
+            (("epsilon-sweep", "--gamma-grid", "10001"), "--gamma-grid", "10000"),
+        ],
+    )
+    def test_over_a_bound_rejected_before_any_trial(self, tmp_path, monkeypatch, capsys,
+                                                   argv, flag, bound):
+        def must_not_run(cfg):
+            raise AssertionError("a scenario ran before the bounds were checked")
+
+        monkeypatch.setattr(cli, "_SCENARIO_RUNNERS",
+                            {name: must_not_run for name in cli._SCENARIO_RUNNERS})
+        monkeypatch.chdir(tmp_path)
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert flag in err and bound in err
+        assert not any(tmp_path.iterdir())
+
+    def test_bounds_are_far_from_the_defaults(self):
+        for scenario, trials in cli._DEFAULT_TRIALS.items():
+            assert 10 * trials <= cli._MAX_TRIALS[scenario]
+        assert 10 * max(cli._DEFAULT_GRID.values()) <= cli._MAX_GAMMA_GRID
+
     def test_bad_epsilon(self, capsys):
         assert run("epsilon-sweep", "--epsilon", "1.5", "--trials", "10") == 2
         assert "--epsilon" in capsys.readouterr().err
@@ -121,6 +149,16 @@ class TestOutputs:
             gamma, eps = float(row[0]), float(row[1])
             if abs(math.cos(gamma)) > eps:
                 assert row[4] in ("0", row[5])  # yes count is 0 or trials
+
+    @pytest.mark.parametrize("ext", ["csv", "json"])
+    def test_negative_zero_epsilon_is_zero(self, tmp_path, ext):
+        outputs = []
+        for eps in ("-0.0", "0"):
+            out = tmp_path / f"eps{eps}.{ext}"
+            assert run("epsilon-sweep", "--epsilon", eps, "--gamma-grid", "3",
+                       "--trials", "20", "--out", str(out)) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]  # the parsed "0" is +0.0
 
     def test_wood_product_rows(self, tmp_path):
         out = tmp_path / "wood.csv"

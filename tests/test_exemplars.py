@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from obsim import (
@@ -23,8 +23,18 @@ from obsim import (
     break_trajectory,
 )
 from obsim.core import NO, YES
+from obsim.exemplars import _walk
 
 NONE_STREAM = SequenceStream(())
+
+
+def assert_step_is(step, state):
+    """A walker step reports the kernel walk's state bit for bit."""
+    assert step.n_fragments == len(state.fragments)
+    assert step.total_length.hex() == math.fsum(state.fragments).hex()
+    assert step.max_fragment.hex() == max(state.fragments).hex()
+    assert step.subhalf == state.subhalf_count()
+    assert step.state() == state
 
 
 def enumerated_yes_fraction(process, state):
@@ -159,22 +169,43 @@ class TestLeftHandedness:
 
     @given(
         seed=st.integers(min_value=0, max_value=2**64 - 1),
-        breaks=st.integers(min_value=0, max_value=300),
+        breaks=st.integers(min_value=0, max_value=2_000),
     )
-    @settings(max_examples=40, deadline=None)
+    @example(seed=0, breaks=2_000)
+    @example(seed=2**64 - 1, breaks=2_000)
+    @settings(max_examples=10, deadline=None)
     def test_break_trajectory_is_the_kernel_walk(self, seed, breaks):
         steps = list(break_trajectory(seed, breaks))
         assert len(steps) == breaks + 1
         state = ElasticBandState.unbroken(1.0)
-        assert steps[0] == (state, 0)
-        for i, (post, subhalf) in enumerate(steps[1:]):
-            _, state = LEFT_HANDEDNESS.kernel(state, TrialStream(seed, i))
-            assert post == state
-            assert subhalf == state.subhalf_count()
+        for i, step in enumerate(steps):
+            if i:
+                _, state = LEFT_HANDEDNESS.kernel(state, TrialStream(seed, i - 1))
+            assert_step_is(step, state)
+
+    @pytest.mark.parametrize("draws", [(0.5,), (0.5, 0.25, 0.75), (0.75, 0.5)])
+    def test_walk_breaks_the_leftmost_of_equal_lengths(self, draws):
+        # dyadic draws split exactly, so equal lengths tie at almost every break
+        rs = [draws[i % len(draws)] for i in range(300)]
+        state = ElasticBandState.unbroken(1.0)
+        for i, step in enumerate(_walk(SequenceStream((r,)) for r in rs)):
+            if i:
+                _, state = LEFT_HANDEDNESS.kernel(state, SequenceStream((rs[i - 1],)))
+            assert_step_is(step, state)
+        assert len(set(state.fragments)) < len(state.fragments) // 10
+
+    def test_kept_step_builds_its_own_state_later(self):
+        walk = break_trajectory(11, 400)
+        kept = [(step, step.state()) for step, _ in zip(walk, range(60))]
+        for _ in walk:  # the walk moves on and its split log grows
+            pass
+        for step, state in kept:
+            assert step.state() == state
 
     def test_trajectory_grows_the_band(self):
         # the one walk that feeds each post-state into the next observation
-        *_, (state, _subhalf) = break_trajectory(2, 3)
+        *_, last = break_trajectory(2, 3)
+        state = last.state()
         assert len(state.fragments) == 4
         state.validate()
 
