@@ -86,7 +86,6 @@ from .taxonomy import (
     Predictability,
     StateProbe,
     classify,
-    classify_effect,
     classify_persistence,
     classify_predictability,
     default_suite,

@@ -277,8 +277,8 @@ def check_taxonomy_fixture() -> CheckResult:
 
 
 def check_csv_determinism(seed: int = ACCEPTANCE_SEED) -> CheckResult:
-    """The CLI emits byte-identical files for identical flags, whatever
-    ``--workers`` says."""
+    """The CLI emits byte-identical files for identical settings: given as
+    flags, given in a ``--config`` file, and given as flags again."""
     import tempfile
     from pathlib import Path
 
@@ -286,23 +286,23 @@ def check_csv_determinism(seed: int = ACCEPTANCE_SEED) -> CheckResult:
 
     failures: list[str] = []
     with tempfile.TemporaryDirectory() as tmp:
-        paths = [Path(tmp) / name for name in ("a.csv", "b.csv", "c.csv")]
-        argvs = [
-            ["quantum-machine", "--gamma-grid", "5", "--trials", "2000",
-             "--seed", str(seed), "--workers", w, "--out", str(p)]
-            for p, w in zip(paths, ("1", "4", "4"))
-        ]
-        for argv in argvs:
+        config = Path(tmp) / "run.cfg"
+        config.write_text(f"gamma-grid = 5\ntrials = 2000\nseed = {seed}\n", encoding="utf-8")
+        flags = ["--gamma-grid", "5", "--trials", "2000", "--seed", str(seed)]
+        blobs = []
+        for settings in (flags, ["--config", str(config)], flags):
+            out = Path(tmp) / f"{len(blobs)}.csv"
+            argv = ["quantum-machine", *settings, "--out", str(out)]
             code = cli.main(argv)
             if code != 0:
                 failures.append(f"cli exited {code} for {argv}")
+            blobs.append(out.read_bytes() if code == 0 else None)
         if not failures:
-            blobs = [p.read_bytes() for p in paths]
             if blobs[0] != blobs[1]:
-                failures.append("--workers 1 and --workers 4 outputs differ")
-            if blobs[1] != blobs[2]:
-                failures.append("repeated --workers 4 runs differ")
-    return _result("csv-determinism", failures, "byte-identical across 1 and 4 workers")
+                failures.append("flag and --config runs differ")
+            if blobs[0] != blobs[2]:
+                failures.append("repeated flag runs differ")
+    return _result("csv-determinism", failures, "byte-identical from flags, --config and a rerun")
 
 
 ALL_CHECKS = (

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
 import sys
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, TextIO
 
 from . import __version__, checks, taxonomy
 from .exemplars import (
@@ -70,51 +69,58 @@ class ConfigError(Exception):
     pass
 
 
-def _fmt_cell(value) -> str:
+def _fmt_cell(value):
+    # csv.writer prints None as an empty cell and str() of anything else
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return format(value, ".9g")
-    if value is None:
-        return ""
-    return str(value)
+    return value
 
 
 def emit_csv(out: Optional[Path], header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Fixed-schema CSV: header then rows, 9 significant digits, UTF-8, LF."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt_cell(v) for v in row])
-    _write_text(out, buffer.getvalue())
+    def write(fh: TextIO) -> None:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt_cell(v) for v in row] for row in rows)
+
+    _write_to(out, write)
 
 
 def emit_json(out: Optional[Path], meta: dict, header: Sequence[str],
               rows: Iterable[Sequence]) -> None:
-    """JSON mirror of the CSV schema: row objects under "rows" plus "meta"."""
-    objects = [{key: (None if value == "" else value) for key, value in zip(header, row)}
-               for row in rows]
-    _write_text(out, json.dumps({"meta": meta, "rows": objects}, indent=2, sort_keys=True) + "\n")
+    """JSON mirror of the CSV schema: row objects under "rows" plus "meta".
+    Values keep their JSON types; floats are rounded like the CSV."""
+    def write(fh: TextIO) -> None:
+        objects = [{key: float(format(value, ".9g")) if isinstance(value, float) else value
+                    for key, value in zip(header, row)} for row in rows]
+        json.dump({"meta": meta, "rows": objects}, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+    _write_to(out, write)
 
 
-def _write_text(out: Optional[Path], text: str) -> None:
+def _write_to(out: Optional[Path], write: Callable[[TextIO], None]) -> None:
+    """Run ``write`` on stdout, or on ``out`` such that a failed write leaves
+    no half-written file: a new or regular file is written to a temp file
+    and renamed into place; a device, FIFO or symlink is written through."""
     if out is None:
-        sys.stdout.write(text)
+        write(sys.stdout)
         return
-    # a new or regular file gets a temp file and an atomic rename, so a failed write
-    # leaves no half-written file; a device, FIFO or symlink is written through
     atomic = not out.is_symlink() and (out.is_file() or not out.exists())
     tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp") if atomic else out
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            write(fh)
         if atomic:
             os.replace(tmp, out)
-    except OSError as err:
+    except BaseException as err:  # a KeyboardInterrupt mid-write leaves no temp file either
         if atomic:  # never unlink the target itself
             tmp.unlink(missing_ok=True)
-        raise ConfigError(f"cannot write --out {out}: {err}") from err
+        if isinstance(err, OSError):
+            raise ConfigError(f"cannot write --out {out}: {err}") from err
+        raise
 
 
 def parse_config_file(path: Path) -> dict:
@@ -160,8 +166,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         trials_help = (
             f"breaks of the band, at most {_MAX_TRIALS[name]}; every break is a row "
-            "held in memory (peak RSS at the bound, x86-64 Python 3.11: 145 MB as CSV, "
-            "491 MB as JSON)"
+            "held in memory (peak RSS at the bound, x86-64 Python 3.11: 135 MB as CSV, "
+            "162 MB as JSON)"
             if name == "elastic" else f"trials per grid point, at most {_MAX_TRIALS[name]}")
         sp.add_argument("--trials", type=int, default=None, help=trials_help)
         sp.add_argument("--seed", type=int, default=None, help="64-bit unsigned master seed")
@@ -307,7 +313,7 @@ def _scenario_classify(cfg: dict) -> tuple[tuple, list[tuple]]:
             row.effect.value if row.effect else "not-decidable",
             row.predictability.value if row.predictability else "not-decidable",
             row.persistence.value if row.persistence else "not-decidable",
-            str(row.witness) if row.witness is not None else "",
+            None if row.witness is None else str(row.witness),
         ))
     return TAXONOMY_HEADER, rows
 
@@ -329,16 +335,9 @@ def _emit(cfg: dict, scenario: str, header: tuple, rows: list, out: Optional[Pat
             "trials": cfg["trials"],
             "version": __version__,
         }
-        emit_json(out, meta, header, [[_fmt_or_raw(v) for v in row] for row in rows])
+        emit_json(out, meta, header, rows)
     else:
         emit_csv(out, header, rows)
-
-
-def _fmt_or_raw(value):
-    # JSON keeps native types; floats are rounded like the CSV for parity
-    if isinstance(value, float):
-        return float(format(value, ".9g"))
-    return value
 
 
 def _run(argv: Optional[Sequence[str]]) -> int:

@@ -21,10 +21,6 @@ class Outcome(Enum):
     YES = "yes"
     NO = "no"
 
-    @property
-    def is_yes(self) -> bool:
-        return self is Outcome.YES
-
     def inverted(self) -> "Outcome":
         return Outcome.NO if self is Outcome.YES else Outcome.YES
 

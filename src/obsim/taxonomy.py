@@ -186,10 +186,6 @@ def effect_verdict(prop: PropertyDef, probe: StateProbe) -> EffectVerdict:
     return EffectVerdict(Effect.INVASIVE_DISCOVERY)
 
 
-def classify_effect(prop: PropertyDef, probe: StateProbe) -> Effect:
-    return effect_verdict(prop, probe).effect
-
-
 def classify_predictability(process: ObservationProcess, probe: StateProbe) -> Predictability:
     states = [s for s in probe.states if s not in probe.exceptions]
     if not states:

@@ -21,7 +21,7 @@ CRITERIA = {
     check_elastic_suite: "elastic band: conservation 1e-9 over 1e4 breaks, fair coin at 1e5, actuality threshold, monotone sub-half",
     check_compaction_creation: "creation by observation: 100 random solids fail then pass",
     check_taxonomy_fixture: "taxonomy table equals the reference classification exactly",
-    check_csv_determinism: "byte-identical CSV across --workers 1 and --workers 4",
+    check_csv_determinism: "byte-identical CSV from flags, from a --config file and from a rerun",
 }
 
 assert set(CRITERIA) == set(ALL_CHECKS)

@@ -13,12 +13,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from obsim import cli
 from obsim.checks import CheckResult
-from obsim.cli import ELASTIC_HEADER, QM_HEADER, TAXONOMY_HEADER, WOOD_HEADER, emit_csv
+from obsim.cli import (ELASTIC_HEADER, QM_HEADER, TAXONOMY_HEADER, WOOD_HEADER, emit_csv,
+                       emit_json)
 
 
 def run(*argv):
@@ -287,6 +288,95 @@ class TestOutputs:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == ",".join(TAXONOMY_HEADER)
         assert len(lines) == 8
+
+
+# --- the writer ----------------------------------------------------------------
+# The emitters write into the open file; their bytes must equal a report built
+# whole in memory: a StringIO CSV and one json.dumps string.
+
+def _reference_csv(header, rows) -> str:
+    def cell(value):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, float):
+            return format(value, ".9g")
+        return "" if value is None else str(value)
+
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([cell(v) for v in row])
+    return buffer.getvalue()
+
+
+def _reference_json(meta, header, rows) -> str:
+    objects = [{key: float(format(v, ".9g")) if isinstance(v, float) else v
+                for key, v in zip(header, row)} for row in rows]
+    return json.dumps({"meta": meta, "rows": objects}, indent=2, sort_keys=True) + "\n"
+
+
+TEXT = st.text(alphabet=st.sampled_from(list('ab ,"\'\n;') + ["é", "γ", "中", "😀"]), max_size=6)
+CELLS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**63), 2**64 - 1),
+    st.floats(),
+    st.sampled_from((-0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e300, 0.1, 1 / 3)),
+    TEXT,
+)
+
+
+@st.composite
+def _tables(draw):
+    header = draw(st.lists(TEXT.filter(bool), min_size=1, max_size=4, unique=True))
+    return header, draw(st.lists(st.tuples(*[CELLS] * len(header)), max_size=4))
+
+
+@given(table=_tables(), to_file=st.booleans(), fmt=st.sampled_from(("csv", "json")))
+@example(table=(list(QM_HEADER), []), to_file=True, fmt="json")
+@example(table=(list(QM_HEADER), []), to_file=False, fmt="json")
+@settings(max_examples=200, deadline=None)
+def test_emitters_match_a_report_built_in_memory(table, to_file, fmt):
+    header, rows = table
+    meta = {"scenario": "x", "seed": 2**64 - 1, "trials": 3, "version": "0"}
+    if fmt == "csv":
+        expected = _reference_csv(header, rows)
+        emit = lambda out: emit_csv(out, header, iter(rows))
+    else:
+        expected = _reference_json(meta, header, rows)
+        emit = lambda out: emit_json(out, meta, header, iter(rows))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "r.out"
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            emit(out if to_file else None)
+        got = out.read_bytes() if to_file else stdout.getvalue().encode("utf-8")
+    assert got == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("error", [OSError("disk full"), RuntimeError("bug"), KeyboardInterrupt()],
+                         ids=["OSError", "RuntimeError", "KeyboardInterrupt"])
+def test_rows_failing_mid_write_leave_the_old_file(tmp_path, monkeypatch, capsys, fmt, error):
+    out = tmp_path / f"band.{fmt}"
+    out.write_bytes(b"old\n")
+
+    def rows():
+        yield (0, 1, 1.0, 1.0, 0, 0.0, 0)
+        raise error
+
+    monkeypatch.setattr(cli, "_SCENARIO_RUNNERS", {"elastic": lambda cfg: (ELASTIC_HEADER, rows())})
+    argv = ("elastic", "--out", str(out))
+    if isinstance(error, OSError):
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert "--out" in err and "disk full" in err
+    else:
+        with pytest.raises(type(error)):
+            run(*argv)
+    assert out.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == [out.name]
 
 
 class TestConfigFile:

@@ -120,7 +120,6 @@ class TestOutcome:
     def test_inverted(self):
         assert YES.inverted() is NO
         assert NO.inverted() is YES
-        assert YES.is_yes and not NO.is_yes
 
 
 class TestObserve:

@@ -143,7 +143,7 @@ class TestRunTrials:
     def test_counting_matches_replay_log(self):
         report = run_trials(MACHINE, sphere_point_at(1.2), 500, seed=4, collect_records=True)
         assert report.records is not None and len(report.records) == 500
-        assert sum(1 for r in report.records if r.outcome.is_yes) == report.yes
+        assert sum(1 for r in report.records if r.outcome is YES) == report.yes
         assert all(verify_replay(MACHINE, r) for r in report.records)
 
     @given(

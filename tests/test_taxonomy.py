@@ -11,6 +11,7 @@ from obsim import (
     FRAGMENTATION,
     INCOMPRESSIBILITY,
     LEFT_HANDEDNESS,
+    YES,
     ElasticApparatus,
     ElasticBandState,
     Effect,
@@ -23,7 +24,6 @@ from obsim import (
     TrialStream,
     UniformBreak,
     classify,
-    classify_effect,
     classify_persistence,
     classify_predictability,
     default_suite,
@@ -55,7 +55,7 @@ SPHERE_PROBE = StateProbe(tuple(sphere_point_at(g) for g in INTERIOR_GAMMAS))
 class TestEffect:
     def test_fragmentation_is_non_invasive_discovery(self):
         prop = PropertyDef("fragmentation", FRAGMENTATION)
-        assert classify_effect(prop, ELASTIC_PROBE) is Effect.NON_INVASIVE_DISCOVERY
+        assert effect_verdict(prop, ELASTIC_PROBE).effect is Effect.NON_INVASIVE_DISCOVERY
 
     def test_incompressibility_is_creation(self):
         prop = PropertyDef("incompressibility", INCOMPRESSIBILITY)
@@ -78,7 +78,7 @@ class TestEffect:
 
     def test_floatability_is_invasive_discovery(self):
         prop = PropertyDef("floatability", FLOATABILITY)
-        assert classify_effect(prop, WOOD_PROBE) is Effect.INVASIVE_DISCOVERY
+        assert effect_verdict(prop, WOOD_PROBE).effect is Effect.INVASIVE_DISCOVERY
 
     def test_left_handedness_is_creation(self):
         probe = StateProbe((ElasticBandState.unbroken(1.0),))
@@ -86,7 +86,7 @@ class TestEffect:
         assert verdict.effect is Effect.INVASIVE_CREATION
         assert verdict.witness_record is not None
         assert verify_replay(LEFT_HANDEDNESS, verdict.witness_record)
-        assert verdict.witness_record.outcome.is_yes
+        assert verdict.witness_record.outcome is YES
 
     def test_machine_is_creation(self):
         verdict = effect_verdict(PropertyDef("machine", MACHINE), SPHERE_PROBE)
@@ -109,7 +109,7 @@ class TestEffect:
             "bare", WoodState, BURNABILITY.kernel, analytic=BURNABILITY.analytic
         )
         with pytest.raises(NotDecidableError):
-            classify_effect(PropertyDef("bare", bare), WOOD_PROBE)
+            effect_verdict(PropertyDef("bare", bare), WOOD_PROBE)
 
 
 class TestPredictability:
