@@ -20,7 +20,7 @@ from enum import Enum
 from typing import Iterable, Iterator
 
 from .core import NO, YES, Branch, ObservationProcess, Outcome, yes_no_branches
-from .randomness import DrawSource, TrialStream, pick_index
+from .randomness import DrawSource, SequenceStream, TrialStream, pick_index
 
 
 class Integrity(str, Enum):
@@ -120,20 +120,14 @@ class ElasticBandState:
         return f"elastic({len(self.fragments)} fragments of {self.original_length:.6g})"
 
 
-class _NoDraws:
-    def draw(self) -> float:
-        raise AssertionError("deterministic kernel drew from its stream")
-
-
 def _deterministic_process(
     id: str, scenario: type, kernel, analytic, description: str
 ) -> ObservationProcess:
     """A process whose kernel takes no draws: its single outcome branch is
     read off one kernel call; the closed-form analytic stays the reference."""
-    sink = _NoDraws()
 
     def branches(state) -> tuple[Branch, ...]:
-        outcome, post = kernel(state, sink)
+        outcome, post = kernel(state, SequenceStream(()))
         return (Branch(outcome, post, 1.0),)
 
     return ObservationProcess(
@@ -227,22 +221,20 @@ INCOMPRESSIBILITY = _deterministic_process(
 
 # --- elastic band -----------------------------------------------------------
 
+_SMALLEST_FLOAT = 5e-324  # 2**-1074: a fragment this short has no two positive pieces
+
+
 def _longest_index(fragments: tuple[float, ...]) -> int:
     # ties broken by lowest index (tuple.index returns the first occurrence)
     return fragments.index(max(fragments))
 
 
-def _split_longest(state: ElasticBandState, r: float) -> tuple[float, ...]:
-    frags = state.fragments
-    i = _longest_index(frags)
-    longest = frags[i]
-    left = r * longest
-    return frags[:i] + (left, longest - left) + frags[i + 1 :]
-
-
 def _break_point(longest: float, rng: DrawSource) -> tuple[float, float, float]:
     """Draw the break point of a fragment: ``(r, left, right)`` with
     ``left = r * longest`` and ``right = longest - left``."""
+    if not _SMALLEST_FLOAT < longest < math.inf:
+        # no draw splits it into two positive finite pieces: redrawing would never end
+        raise ValueError(f"an elastic fragment of length {longest!r} cannot break")
     # one draw (redrawn on the measure-zero values that would leave a
     # zero-length piece, so the positivity invariant is airtight)
     while True:
@@ -265,11 +257,10 @@ def _left_handedness_kernel(
 
 
 def _left_handedness_branches(state: ElasticBandState) -> tuple[Branch, ...]:
-    # representative posts: the break point is a continuum, so one reachable
-    # post per outcome branch stands in (posts_exact=False on the process)
-    return (
-        Branch(YES, ElasticBandState(_split_longest(state, 0.75), state.original_length), 0.5),
-        Branch(NO, ElasticBandState(_split_longest(state, 0.25), state.original_length), 0.5),
+    # representative posts: the break point is a continuum, so the kernel's break
+    # at 3/4 (yes) and at 1/4 (no) stands in (posts_exact=False on the process)
+    return tuple(
+        Branch(*_left_handedness_kernel(state, SequenceStream((r,))), 0.5) for r in (0.75, 0.25)
     )
 
 
@@ -370,21 +361,10 @@ class BandStep:
         return ElasticBandState(tuple(fragments), self._lengths[0])
 
 
-def _add_exact(partials: list[float], x: float) -> None:
-    """Add ``x`` to an exact sum held as non-overlapping partials (Shewchuk,
-    Discrete Comput. Geom. 1997; the algorithm behind ``math.fsum``), so
-    ``math.fsum(partials)`` rounds the exact sum once."""
-    i = 0
-    for y in partials:
-        if abs(x) < abs(y):
-            x, y = y, x
-        hi = x + y
-        lo = y - (hi - x)
-        if lo:
-            partials[i] = lo
-            i += 1
-        x = hi
-    partials[i:] = [x]
+def _units(x: float) -> int:
+    """``x`` as an exact integer count of 2**-1074, the smallest positive float."""
+    num, den = x.as_integer_ratio()
+    return num << (1075 - den.bit_length())
 
 
 def _walk(streams: Iterable[DrawSource]) -> Iterator[BandStep]:
@@ -397,7 +377,9 @@ def _walk(streams: Iterable[DrawSource]) -> Iterator[BandStep]:
     # leftmost of equal lengths, because the path (one byte per split, 0 for
     # the left piece, 1 for the right) sorts fragments in positional order
     heap = [(-1.0, b"", 0)]
-    partials = [1.0]
+    # exact sum of the live fragments in units of 2**-1074, in which the unbroken
+    # band is one; int true division rounds once, as math.fsum of the fragments does
+    total = one = 1 << 1074
     subhalf = 0
     yield BandStep(1, 1.0, 1.0, subhalf, parents, lengths)
     for i, rng in enumerate(streams):
@@ -408,11 +390,9 @@ def _walk(streams: Iterable[DrawSource]) -> Iterator[BandStep]:
         lengths += (left, right)
         heapq.heapreplace(heap, (-left, path + b"\x00", 2 * i + 1))
         heapq.heappush(heap, (-right, path + b"\x01", 2 * i + 2))
-        _add_exact(partials, left)
-        _add_exact(partials, right)
-        _add_exact(partials, neg_longest)
+        total += _units(left) + _units(right) - _units(longest)
         subhalf += (left < half) + (right < half) - (longest < half)
-        yield BandStep(i + 2, math.fsum(partials), -heap[0][0], subhalf, parents, lengths)
+        yield BandStep(i + 2, total / one, -heap[0][0], subhalf, parents, lengths)
 
 
 def break_trajectory(seed: int, breaks: int) -> Iterator[BandStep]:

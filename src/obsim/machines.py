@@ -41,7 +41,7 @@ def _norm3(v) -> float:
 
 
 def _check_unit(v, what: str) -> None:
-    if abs(_norm3(v) - 1.0) > _NORM_TOL:
+    if not abs(_norm3(v) - 1.0) <= _NORM_TOL:  # written so that a NaN norm fails
         raise ValueError(f"{what} must be a unit vector, got norm {_norm3(v)!r}")
 
 
@@ -236,8 +236,10 @@ class SawtoothRuler:
     offset: float = 0.0
 
     def __post_init__(self):
-        if not self.pitch > 0.0:
-            raise ValueError(f"SawtoothRuler.pitch must be positive, got {self.pitch!r}")
+        if not 0.0 < self.pitch < math.inf:
+            raise ValueError(f"SawtoothRuler.pitch must be positive and finite, got {self.pitch!r}")
+        if not math.isfinite(self.offset):
+            raise ValueError(f"SawtoothRuler.offset must be finite, got {self.offset!r}")
 
     def center(self, k: int) -> float:
         return self.offset + k * self.pitch

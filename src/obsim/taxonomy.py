@@ -90,7 +90,6 @@ class EffectVerdict:
     effect: Effect
     witness: object = None
     witness_record: Optional[ObservationRecord] = None
-    also_destroys: bool = False
 
 
 @dataclass(frozen=True)
@@ -104,7 +103,6 @@ class ObservationClassification:
     persistence: Optional[Persistence]
     witness: object = None
     witness_record: Optional[ObservationRecord] = None
-    also_destroys: bool = False
     notes: tuple[str, ...] = ()
 
 
@@ -133,8 +131,8 @@ def _confirm(process: ObservationProcess, state: object, want: Branch,
 
 def effect_verdict(prop: PropertyDef, probe: StateProbe) -> EffectVerdict:
     """Effect classification with witness. See the module docstring for the
-    decision rule; priority is creation (flagging destruction when both
-    witnesses exist), then destruction, then invasive discovery."""
+    decision rule; priority is creation, then destruction, then invasive
+    discovery."""
     process = prop.process
     invasive = False
     posts_exact_everywhere = True
@@ -171,9 +169,7 @@ def effect_verdict(prop: PropertyDef, probe: StateProbe) -> EffectVerdict:
     if creation is not None:
         state, branch = creation
         record = _confirm(process, state, branch, match_post=process.posts_exact)
-        return EffectVerdict(
-            Effect.INVASIVE_CREATION, state, record, also_destroys=destruction is not None
-        )
+        return EffectVerdict(Effect.INVASIVE_CREATION, state, record)
     if destruction is not None:
         state, branch = destruction
         record = _confirm(process, state, branch, match_post=process.posts_exact)
@@ -216,13 +212,11 @@ def classify(prop: PropertyDef, probe: StateProbe) -> ObservationClassification:
     notes: list[str] = []
     effect = predictability = persistence = None
     witness = record = None
-    also_destroys = False
     try:
         verdict = effect_verdict(prop, probe)
         effect = verdict.effect
         witness = verdict.witness
         record = verdict.witness_record
-        also_destroys = verdict.also_destroys
     except NotDecidableError as err:
         notes.append(f"effect: {err}")
     try:
@@ -235,7 +229,7 @@ def classify(prop: PropertyDef, probe: StateProbe) -> ObservationClassification:
         notes.append(f"persistence: {err}")
     return ObservationClassification(
         prop.name, effect, predictability, persistence,
-        witness, record, also_destroys, tuple(notes),
+        witness, record, tuple(notes),
     )
 
 

@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,7 +25,7 @@ from obsim import (
     break_trajectory,
 )
 from obsim.core import NO, YES
-from obsim.exemplars import _walk
+from obsim.exemplars import _units, _walk
 
 NONE_STREAM = SequenceStream(())
 
@@ -143,6 +145,42 @@ class TestLeftHandedness:
         _, post = LEFT_HANDEDNESS.kernel(band, SequenceStream((0.5,)))
         assert post.fragments == (0.2, 0.15, 0.15, 0.3, 0.2)
 
+    @pytest.mark.parametrize("fragments,yes_post,no_post", [
+        ((1.0,), (0.75, 0.25), (0.25, 0.75)),
+        ((0.7, 0.3),
+         (0.5249999999999999, 0.17500000000000004, 0.3), (0.175, 0.5249999999999999, 0.3)),
+        ((0.5, 0.3, 0.2), (0.375, 0.125, 0.3, 0.2), (0.125, 0.375, 0.3, 0.2)),
+        # a tie: the leftmost of the equal longest fragments is split
+        ((0.4, 0.4, 0.2),
+         (0.30000000000000004, 0.09999999999999998, 0.4, 0.2),
+         (0.1, 0.30000000000000004, 0.4, 0.2)),
+    ])
+    def test_representative_posts(self, fragments, yes_post, no_post):
+        branches = LEFT_HANDEDNESS.branches(ElasticBandState(fragments, 1.0))
+        assert [(b.outcome, b.post.fragments, b.post.original_length, b.prob)
+                for b in branches] == [(YES, yes_post, 1.0, 0.5), (NO, no_post, 1.0, 0.5)]
+
+    @pytest.mark.parametrize("fragments", [
+        (5e-324,), (math.inf,), (0.5, math.inf), (math.nan, 0.5),
+    ])
+    def test_a_fragment_that_cannot_break_raises_before_drawing(self, fragments):
+        # no draw splits these into two positive finite pieces, so redrawing
+        # would never end; a finite stream shows that none is drawn
+        state = ElasticBandState(fragments, 1.0)
+        stream = SequenceStream((0.5,) * 100)
+        with pytest.raises(ValueError, match="cannot break"):
+            LEFT_HANDEDNESS.kernel(state, stream)
+        assert stream.remaining == 100
+        with pytest.raises(ValueError, match="cannot break"):
+            LEFT_HANDEDNESS.branches(state)
+
+    def test_the_shortest_breakable_fragment_breaks(self):
+        outcome, post = LEFT_HANDEDNESS.kernel(
+            ElasticBandState.unbroken(1e-323), SequenceStream((0.5,))
+        )
+        assert outcome is NO
+        assert post.fragments == (5e-324, 5e-324)
+
     def test_each_break_adds_one_fragment(self):
         state = ElasticBandState.unbroken(1.0)
         for k in range(40):
@@ -193,6 +231,14 @@ class TestLeftHandedness:
                 _, state = LEFT_HANDEDNESS.kernel(state, SequenceStream((rs[i - 1],)))
             assert_step_is(step, state)
         assert len(set(state.fragments)) < len(state.fragments) // 10
+
+    @given(st.floats(min_value=5e-324, allow_infinity=False))
+    @example(5e-324)
+    @example(sys.float_info.min)
+    @example(1.0)
+    @example(sys.float_info.max)
+    def test_units_are_exact(self, x):
+        assert Fraction(_units(x), 1 << 1074) == Fraction(x)
 
     def test_kept_step_builds_its_own_state_later(self):
         walk = break_trajectory(11, 400)

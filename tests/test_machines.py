@@ -199,6 +199,18 @@ class TestMachineKernel:
         with pytest.raises(ValueError):
             SegmentBreak(-0.2)
 
+    @pytest.mark.parametrize("build", [
+        lambda: SpherePoint((math.nan, 0.0, 0.0)),
+        lambda: sphere_point_at(math.nan),
+        lambda: ElasticApparatus((0.0, math.nan, 1.0)),
+        lambda: quantum_machine_process(ElasticApparatus((math.nan, 0.0, 0.0))),
+    ])
+    def test_nan_geometry_is_rejected(self, build):
+        # a NaN norm fails every comparison; accepted, it would clamp cos to 1
+        # and answer yes on every trial
+        with pytest.raises(ValueError, match="unit vector"):
+            build()
+
     def test_sphere_point_at(self):
         for gamma in (0.1, 1.0, 2.3):
             u = sphere_point_at(gamma).direction
@@ -256,6 +268,13 @@ class TestSawtooth:
         assert process.analytic(LinePosition(0.5)) == 0.5
         assert process.analytic(LinePosition(-0.5)) == 0.5
         assert process.analytic(LinePosition(1.5)) == 0.0
+
+    @pytest.mark.parametrize("pitch,offset", [
+        (math.inf, 0.0), (math.nan, 0.0), (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf),
+    ])
+    def test_ruler_needs_finite_positive_pitch_and_finite_offset(self, pitch, offset):
+        with pytest.raises(ValueError, match="SawtoothRuler"):
+            SawtoothRuler(pitch=pitch, offset=offset)
 
     def test_ruler_validation(self):
         with pytest.raises(ValueError):
