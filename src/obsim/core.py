@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
-from .randomness import DrawSource, RecordingStream, SequenceStream
+from .randomness import DrawSource, RecordingStream, SequenceStream, pick
 
 
 class Outcome(Enum):
@@ -69,6 +69,36 @@ Kernel = Callable[[object, DrawSource], "tuple[Outcome, object]"]
 
 
 @dataclass(frozen=True)
+class FirstDraw:
+    """A trial's outcome as a pure function of its first draw ``r``.
+
+    Where ``kept(r)`` holds (everywhere when ``kept`` is None) the kernel
+    draws nothing more and answers yes exactly when ``yes(r)``; elsewhere it
+    draws again. Both use only ``-``, ``*``, ``<``, ``&`` and the entry that
+    :func:`pick` indexes, which come out alike on a Python float and
+    elementwise on a float64 array, so a block of draws is decided as the
+    kernel decides each one.
+    """
+
+    yes: Callable[[Any], Any]
+    kept: Optional[Callable[[Any], Any]] = None
+
+
+def pick_decision(yes_at: Sequence[bool]) -> "Outcome | FirstDraw":
+    """The decision of a process whose first draw ``r`` picks entry
+    ``pick(r, len(yes_at))`` and which then answers that entry with no draw."""
+    if all(yes_at):
+        return YES
+    if not any(yes_at):
+        return NO
+    import numpy as np  # only block counting reaches a mixed table
+
+    table = np.array(yes_at, dtype=bool)
+    n = len(table)
+    return FirstDraw(lambda r: table[pick(r, n)])
+
+
+@dataclass(frozen=True)
 class ObservationProcess:
     """A named observational procedure on one scenario variant.
 
@@ -81,6 +111,10 @@ class ObservationProcess:
     repeat_probs  optional analytic answer for continuum post-state families:
                   the distinct yes-probabilities the process takes over all
                   states reachable via a yes outcome.
+    first_draw    optional map from a state to the Outcome every trial there
+                  gives, to a FirstDraw when the kernel decides on its first
+                  draw, or to None; ``stats.run_trials`` uses it to count yes
+                  outcomes without running the kernel trial by trial.
     """
 
     id: str
@@ -91,6 +125,7 @@ class ObservationProcess:
     posts_exact: bool = True
     repeat_probs: Optional[Callable[[object], "tuple[float, ...]"]] = None
     description: str = ""
+    first_draw: Optional[Callable[[object], "Outcome | FirstDraw | None"]] = None
 
     def check_scenario(self, state: object) -> None:
         if not isinstance(state, self.scenario):

@@ -19,8 +19,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator
 
-from .core import NO, YES, Branch, ObservationProcess, Outcome, yes_no_branches
-from .randomness import DrawSource, SequenceStream, TrialStream, pick_index
+from .core import (
+    NO, YES, Branch, FirstDraw, ObservationProcess, Outcome, pick_decision, yes_no_branches,
+)
+from .randomness import DrawSource, SequenceStream, TrialStream, pick
 
 
 class Integrity(str, Enum):
@@ -60,8 +62,8 @@ class SolidState:
     compaction_ratio: float
 
     def __post_init__(self):
-        if not self.volume > 0.0:
-            raise ValueError(f"SolidState.volume must be positive, got {self.volume!r}")
+        if not 0.0 < self.volume < math.inf:
+            raise ValueError(f"SolidState.volume must be positive and finite, got {self.volume!r}")
         if not 0.0 <= self.compaction_ratio <= 1.0:
             raise ValueError(
                 f"SolidState.compaction_ratio must be in [0, 1], got {self.compaction_ratio!r}"
@@ -90,9 +92,10 @@ class ElasticBandState:
     def __post_init__(self):
         if not self.fragments:
             raise ValueError("ElasticBandState.fragments must be nonempty")
-        if not self.original_length > 0.0:
+        if not 0.0 < self.original_length < math.inf:
             raise ValueError(
-                f"ElasticBandState.original_length must be positive, got {self.original_length!r}"
+                "ElasticBandState.original_length must be positive and finite, "
+                f"got {self.original_length!r}"
             )
 
     @staticmethod
@@ -100,10 +103,11 @@ class ElasticBandState:
         return ElasticBandState((length,), length)
 
     def validate(self, tol: float = 1e-9) -> None:
-        if any(f <= 0.0 for f in self.fragments):
+        # written so that NaN fails: it compares false to everything
+        if any(not f > 0.0 for f in self.fragments):
             raise ValueError("elastic fragments must be strictly positive")
         total = math.fsum(self.fragments)
-        if abs(total - self.original_length) > tol:
+        if not abs(total - self.original_length) <= tol:
             raise ValueError(
                 f"elastic length not conserved: fragments sum to {total!r}, "
                 f"expected {self.original_length!r}"
@@ -137,6 +141,7 @@ def _deterministic_process(
         analytic=analytic,
         branches=branches,
         description=description,
+        first_draw=lambda state: kernel(state, SequenceStream(()))[0],
     )
 
 
@@ -229,20 +234,36 @@ def _longest_index(fragments: tuple[float, ...]) -> int:
     return fragments.index(max(fragments))
 
 
+def _breakable(longest: float) -> bool:
+    # otherwise no draw splits it into two positive finite pieces
+    return _SMALLEST_FLOAT < longest < math.inf
+
+
+def _splits(r, longest: float):
+    """Whether the draw ``r`` breaks ``longest`` into two positive pieces,
+    ``r * longest`` and the rest; elementwise on a float64 array of draws."""
+    left = r * longest
+    return (0.0 < left) & (0.0 < longest - left)
+
+
+def _left_hand(r):
+    # yes when the longer piece, the one left of the break, stays in the left hand
+    return 0.5 < r
+
+
 def _break_point(longest: float, rng: DrawSource) -> tuple[float, float, float]:
     """Draw the break point of a fragment: ``(r, left, right)`` with
     ``left = r * longest`` and ``right = longest - left``."""
-    if not _SMALLEST_FLOAT < longest < math.inf:
-        # no draw splits it into two positive finite pieces: redrawing would never end
+    if not _breakable(longest):
+        # redrawing would never end
         raise ValueError(f"an elastic fragment of length {longest!r} cannot break")
     # one draw (redrawn on the measure-zero values that would leave a
     # zero-length piece, so the positivity invariant is airtight)
     while True:
         r = rng.draw()
-        left = r * longest
-        right = longest - left
-        if left > 0.0 and right > 0.0:
-            return r, left, right
+        if _splits(r, longest):
+            left = r * longest
+            return r, left, longest - left
 
 
 def _left_handedness_kernel(
@@ -251,7 +272,7 @@ def _left_handedness_kernel(
     frags = state.fragments
     i = _longest_index(frags)
     r, left, right = _break_point(frags[i], rng)
-    outcome = YES if r > 0.5 else NO
+    outcome = YES if _left_hand(r) else NO
     post = ElasticBandState(frags[:i] + (left, right) + frags[i + 1 :], state.original_length)
     return outcome, post
 
@@ -264,6 +285,13 @@ def _left_handedness_branches(state: ElasticBandState) -> tuple[Branch, ...]:
     )
 
 
+def _left_handedness_first_draw(state: ElasticBandState) -> FirstDraw | None:
+    longest = max(state.fragments)
+    if not _breakable(longest):
+        return None  # the kernel raises before it draws
+    return FirstDraw(_left_hand, lambda r: _splits(r, longest))
+
+
 LEFT_HANDEDNESS = ObservationProcess(
     id="left-handedness",
     scenario=ElasticBandState,
@@ -274,6 +302,7 @@ LEFT_HANDEDNESS = ObservationProcess(
     repeat_probs=lambda s: (0.5,),  # every yes-post answers 1/2 again
     description="stretch the longest fragment until it breaks; yes when the longer piece "
     "stays in the left hand (one draw)",
+    first_draw=_left_handedness_first_draw,
 )
 
 
@@ -286,7 +315,7 @@ def _pick_process(id: str, compare, description: str) -> ObservationProcess:
         return sum(1 for f in state.fragments if compare(f, half))
 
     def kernel(state: ElasticBandState, rng: DrawSource) -> tuple[Outcome, ElasticBandState]:
-        i = pick_index(rng, len(state.fragments))
+        i = pick(rng.draw(), len(state.fragments))
         return (YES if compare(state.fragments[i], 0.5 * state.original_length) else NO), state
 
     def analytic(state: ElasticBandState) -> float:
@@ -297,6 +326,10 @@ def _pick_process(id: str, compare, description: str) -> ObservationProcess:
         k = count(state)
         return yes_no_branches(k / n, state, (n - k) / n, state)
 
+    def first_draw(state: ElasticBandState) -> Outcome | FirstDraw:
+        half = 0.5 * state.original_length
+        return pick_decision([compare(f, half) for f in state.fragments])
+
     return ObservationProcess(
         id=id,
         scenario=ElasticBandState,
@@ -304,6 +337,7 @@ def _pick_process(id: str, compare, description: str) -> ObservationProcess:
         analytic=analytic,
         branches=branches,
         description=description,
+        first_draw=first_draw,
     )
 
 

@@ -30,8 +30,10 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from .core import NO, YES, Branch, ObservationProcess, Outcome, ScenarioMismatchError, yes_no_branches
-from .randomness import DrawSource, pick_index
+from .core import (
+    NO, YES, Branch, FirstDraw, ObservationProcess, Outcome, ScenarioMismatchError, yes_no_branches,
+)
+from .randomness import DrawSource, SequenceStream, pick
 
 _NORM_TOL = 1e-9
 
@@ -118,8 +120,10 @@ class ElasticApparatus:
 
     def __post_init__(self):
         _check_unit(self.orientation, "ElasticApparatus.orientation")
-        if not self.length > 0.0:
-            raise ValueError(f"ElasticApparatus.length must be positive, got {self.length!r}")
+        if not 0.0 < self.length < math.inf:
+            raise ValueError(
+                f"ElasticApparatus.length must be positive and finite, got {self.length!r}"
+            )
 
 
 def sphere_point_at(gamma: float, rho=(0.0, 0.0, 1.0), axis=(1.0, 0.0, 0.0)) -> SpherePoint:
@@ -158,17 +162,22 @@ def _prob_from_cos(c: float, profile: BreakageProfile) -> float:
     return max(0.0, min(1.0, 0.5 * (1.0 + c / w)))
 
 
-def _decide(c: float, profile: BreakageProfile, rng: DrawSource) -> Outcome:
-    # yes iff the break lands strictly below the particle; ties resolve to no.
-    # comparisons are kept in centered form (around the band midpoint) so the
-    # deterministic regimes of the segment profile are exact in floats.
+def _yes_test(profile: BreakageProfile):
+    """The machine's decision on the draw ``r`` at cos gamma ``c``, as
+    ``test(r, c)``, or None for a fixed break point, which takes no draw.
+
+    Yes iff the break lands strictly below the particle; ties resolve to no.
+    The comparisons are kept in centered form (around the band midpoint) so
+    the deterministic regimes of the segment profile are exact in floats.
+    """
     if isinstance(profile, PointBreak):
-        return YES if 0.5 * (1.0 + c) > profile.position else NO
+        return None
     if isinstance(profile, UniformBreak):
-        return YES if rng.draw() - 0.5 < 0.5 * c else NO
+        return lambda r, c: r - 0.5 < 0.5 * c
     # both sides scaled exactly by 2**600: the same comparison wherever the product
     # is normal, and a subnormal width cannot underflow it to 0 (a tie at c = 0)
-    return YES if (rng.draw() - 0.5) * (profile.width * 2.0**600) < 2.0**599 * c else NO
+    scale = profile.width * 2.0**600
+    return lambda r, c: (r - 0.5) * scale < 2.0**599 * c
 
 
 def quantum_machine_prob(gamma: float, profile: BreakageProfile) -> float:
@@ -195,10 +204,21 @@ def quantum_machine_process(apparatus: ElasticApparatus, id: str | None = None) 
     profile = apparatus.profile
     post_plus = SpherePoint(rho)
     post_minus = SpherePoint(_neg(rho))
+    yes_test = _yes_test(profile)
 
     def kernel(state: SpherePoint, rng: DrawSource) -> tuple[Outcome, SpherePoint]:
-        outcome = _decide(_cos_between(state.direction, rho), profile, rng)
-        return outcome, post_plus if outcome is YES else post_minus
+        c = _cos_between(state.direction, rho)
+        if yes_test is None:
+            yes = 0.5 * (1.0 + c) > profile.position
+        else:
+            yes = yes_test(rng.draw(), c)
+        return (YES, post_plus) if yes else (NO, post_minus)
+
+    def first_draw(state: SpherePoint) -> Outcome | FirstDraw:
+        if yes_test is None:
+            return kernel(state, SequenceStream(()))[0]
+        c = _cos_between(state.direction, rho)
+        return FirstDraw(lambda r: yes_test(r, c))
 
     def analytic(state: SpherePoint) -> float:
         return _prob_from_cos(_cos_between(state.direction, rho), profile)
@@ -218,6 +238,7 @@ def quantum_machine_process(apparatus: ElasticApparatus, id: str | None = None) 
             "yes when it is carried to the + endpoint; one draw per call for "
             "uniform/segment profiles, zero for a fixed point"
         ),
+        first_draw=first_draw,
     )
 
 
@@ -279,7 +300,7 @@ def sawtooth_observe(
     if not isinstance(state, LinePosition):
         raise ScenarioMismatchError(f"sawtooth acts on LinePosition, got {type(state).__name__}")
     cavities = _snap(ruler, state.x)
-    k = cavities[pick_index(rng, 2) if len(cavities) == 2 else 0][0]
+    k = cavities[pick(rng.draw(), 2) if len(cavities) == 2 else 0][0]
     return k, LinePosition(ruler.center(k))
 
 

@@ -14,13 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
+    YES,
     Branch,
     ObservationProcess,
     Outcome,
     is_actual,
+    pick_decision,
     PropertyDef,
 )
-from .randomness import DrawSource, pick_index
+from .randomness import DrawSource, pick
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,7 @@ class ProductObservation:
 
     def choose(self, rng: DrawSource) -> int:
         """Draw a component index uniformly (one draw)."""
-        return pick_index(rng, len(self.components))
+        return pick(rng.draw(), len(self.components))
 
 
 def product_observe(
@@ -84,6 +86,13 @@ def product_process(prod: ProductObservation, id: str | None = None) -> Observat
             for comp in prod.components for b in comp.branches(state)
         )
 
+    def first_draw(state):
+        # decided by the pick alone when no component draws at this state
+        outcomes = [c.first_draw and c.first_draw(state) for c in prod.components]
+        if not all(isinstance(o, Outcome) for o in outcomes):
+            return None
+        return pick_decision([o is YES for o in outcomes])
+
     return ObservationProcess(
         id=id or "product(" + ",".join(c.id for c in prod.components) + ")",
         scenario=prod.scenario,
@@ -92,6 +101,7 @@ def product_process(prod: ProductObservation, id: str | None = None) -> Observat
         branches=branches if have_branches else None,
         posts_exact=all(c.posts_exact for c in prod.components),
         description="choose one component uniformly (one draw), then run it",
+        first_draw=first_draw,
     )
 
 

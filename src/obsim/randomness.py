@@ -58,10 +58,13 @@ class TrialStream:
         return ((s ^ (s >> 31)) >> 11) * _INV_2_53
 
 
-def pick_index(rng: DrawSource, n: int) -> int:
-    """Uniform index in range(n) from one draw: ``int(draw * n)``."""
-    i = int(rng.draw() * n)
-    return n - 1 if i >= n else i
+def pick(r, n: int):
+    """The index in range(n) that the draw ``r`` picks: ``int(r * n)``, at most
+    ``n - 1``; elementwise, as int64, on a float64 array of draws."""
+    if isinstance(r, float):
+        i = int(r * n)
+        return n - 1 if i >= n else i
+    return (r * n).astype("int64").clip(None, n - 1)  # truncates as int() does
 
 
 def substream_seed(master_seed: int, index: int) -> int:

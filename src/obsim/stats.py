@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Optional, Sequence
 
-from .core import YES, ObservationProcess, observe
+from .core import YES, ObservationProcess, Outcome, observe
 from .randomness import TrialStream, substream_seed
 
 
@@ -72,7 +72,10 @@ def run_trials(
 
     Trial i draws from TrialStream(seed, i) alone, so the report is the same
     however the trials are scheduled: they run in one thread in index order,
-    and ``workers`` is accepted but has no effect.
+    and ``workers`` is accepted but has no effect. Without records, a process
+    whose ``first_draw`` decides the state has its yes outcomes counted
+    without a kernel call per trial (in numpy blocks of first draws when the
+    draw matters); the count equals the kernel loop's.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
@@ -82,17 +85,27 @@ def run_trials(
     if process.analytic is not None:
         analytic = process.analytic(initial_state)
 
+    decision = None
+    if not collect_records and process.first_draw is not None:
+        decision = process.first_draw(initial_state)
     records: list | None = [] if collect_records else None
     kernel = process.kernel
     yes = 0
-    for i in range(trials):
-        if records is None:
-            outcome, _post = kernel(initial_state, TrialStream(seed, i))
-        else:
-            outcome, _post, rec = observe(process, initial_state, TrialStream(seed, i), index=i)
-            records.append(rec)
-        if outcome is YES:
-            yes += 1
+    if isinstance(decision, Outcome):
+        yes = trials if decision is YES else 0
+    elif decision is not None:
+        from .blocks import count_yes  # numpy: only a run that counts in blocks imports it
+
+        yes = count_yes(decision, kernel, initial_state, seed, trials)
+    else:
+        for i in range(trials):
+            if records is None:
+                outcome, _post = kernel(initial_state, TrialStream(seed, i))
+            else:
+                outcome, _post, rec = observe(process, initial_state, TrialStream(seed, i), index=i)
+                records.append(rec)
+            if outcome is YES:
+                yes += 1
 
     p_hat = yes / trials
     low, high = wilson_interval(yes, trials, 0.99)

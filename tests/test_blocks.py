@@ -1,0 +1,194 @@
+"""Block counting against the scalar kernel: equal reports, bit for bit."""
+
+import dataclasses
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from obsim import (
+    BURNABILITY,
+    DRY_INTACT,
+    FLOATABILITY,
+    FRAGMENTATION,
+    INCOMPRESSIBILITY,
+    LEFT_HANDEDNESS,
+    NON_BURNABILITY,
+    NON_FRAGMENTATION,
+    ElasticApparatus,
+    ElasticBandState,
+    PointBreak,
+    ProductObservation,
+    SegmentBreak,
+    SequenceStream,
+    SolidState,
+    SpherePoint,
+    TrialStream,
+    UniformBreak,
+    product_process,
+    quantum_machine_process,
+    run_trials,
+    sphere_point_at,
+)
+from obsim import blocks
+from obsim.core import YES, FirstDraw, Outcome
+from obsim.randomness import pick
+
+
+def machine(profile):
+    return quantum_machine_process(ElasticApparatus((0.0, 0.0, 1.0), 1.0, profile))
+
+
+EQUATOR = SpherePoint((1.0, 0.0, 0.0))  # cos gamma exactly 0: every draw at 0.5 is a tie
+NORTH = SpherePoint((0.0, 0.0, 1.0))
+SOUTH = SpherePoint((0.0, 0.0, -1.0))
+MACHINE_STATES = (sphere_point_at(1.0), sphere_point_at(2.5), EQUATOR, NORTH, SOUTH)
+PROFILES = (UniformBreak(), SegmentBreak(0.25), SegmentBreak(1.0), SegmentBreak(1e-310),
+            PointBreak(0.5), PointBreak(0.3))
+# about half the first draws leave a zero-length piece of this band, and its
+# kernel draws again
+SUBNORMAL_BAND = ElasticBandState((1e-323,), 1e-323)
+COIN = product_process(ProductObservation((NON_BURNABILITY, FLOATABILITY)))
+
+BLOCK_CASES = [(machine(p), s) for p in PROFILES for s in MACHINE_STATES] + [
+    (LEFT_HANDEDNESS, ElasticBandState.unbroken(1.0)),
+    (LEFT_HANDEDNESS, ElasticBandState((0.3, 0.7), 1.0)),
+    (LEFT_HANDEDNESS, SUBNORMAL_BAND),
+    (FRAGMENTATION, ElasticBandState((0.7, 0.2, 0.1), 1.0)),
+    (NON_FRAGMENTATION, ElasticBandState((0.3, 0.5, 0.2), 1.0)),  # a half answers no
+    (FRAGMENTATION, ElasticBandState.unbroken(1.0)),
+    (COIN, DRY_INTACT),
+    (product_process(ProductObservation((BURNABILITY, NON_BURNABILITY, FLOATABILITY))),
+     DRY_INTACT),
+    (product_process(ProductObservation((BURNABILITY, FLOATABILITY))), DRY_INTACT),
+    (BURNABILITY, DRY_INTACT),
+    (INCOMPRESSIBILITY, SolidState(1.0, 0.5)),
+]
+FIRST_DRAW_CASES = [(p, s) for p, s in BLOCK_CASES if isinstance(p.first_draw(s), FirstDraw)]
+
+# a draw is k * 2**-53; ties and their neighbours are the draws that matter
+DRAWS = st.one_of(
+    st.integers(0, 2**53 - 1).map(lambda k: k * 2.0**-53),
+    st.sampled_from([0.0, 0.25, 0.5, 0.75, 1 / 3, 1.0 - 2.0**-53]).flatmap(
+        lambda r: st.sampled_from([r, math.nextafter(r, 0.0), math.nextafter(r, 1.0)])
+    ).filter(lambda r: 0.0 <= r < 1.0),
+)
+
+
+def scalar_report(process, state, trials, seed):
+    """The kernel loop's report: collecting records always runs the kernel."""
+    report = run_trials(process, state, trials, seed, collect_records=True)
+    return dataclasses.replace(report, records=None)
+
+
+def test_every_case_is_decided_without_the_kernel_loop():
+    assert len(FIRST_DRAW_CASES) >= 20
+    for process, state in BLOCK_CASES:
+        assert isinstance(process.first_draw(state), (Outcome, FirstDraw)), process.id
+
+
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    start=st.integers(0, 2**40),
+    n=st.integers(0, 40),
+)
+@example(seed=0, start=0, n=40)
+@example(seed=2**64 - 1, start=0, n=40)
+@settings(max_examples=100, deadline=None)
+def test_first_draws_are_the_stream_draws(seed, start, n):
+    draws = blocks.first_draws(seed, start, start + n)
+    assert draws.dtype == np.float64
+    assert draws.tolist() == [TrialStream(seed, i).draw() for i in range(start, start + n)]
+
+
+@given(
+    case=st.sampled_from(BLOCK_CASES),
+    seed=st.integers(0, 2**64 - 1),
+    block=st.integers(1, 16),
+    full_blocks=st.integers(0, 3),
+    edge=st.sampled_from((-1, 0, 1)),
+)
+@example(case=BLOCK_CASES[0], seed=0, block=4, full_blocks=2, edge=1)
+@example(case=(LEFT_HANDEDNESS, SUBNORMAL_BAND), seed=2**64 - 1, block=5, full_blocks=3, edge=-1)
+@settings(max_examples=400, deadline=None)
+def test_block_count_is_the_kernel_loop(case, seed, block, full_blocks, edge):
+    # one short of, on, or one past a block edge, with a small block so edges are cheap
+    process, state = case
+    trials = max(1, full_blocks * block + edge)
+    counter = mock.Mock(wraps=blocks.count_yes)
+    with mock.patch.object(blocks, "BLOCK", block), mock.patch.object(blocks, "count_yes", counter):
+        report = run_trials(process, state, trials, seed)
+    assert counter.called == isinstance(process.first_draw(state), FirstDraw)
+    assert report == scalar_report(process, state, trials, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_block_edges_at_the_real_block_size(seed):
+    process, state = machine(UniformBreak()), sphere_point_at(1.0)
+    n = blocks.BLOCK
+    yes = [process.kernel(state, TrialStream(seed, i))[0] is YES for i in range(n + 1)]
+    for trials in (n - 1, n, n + 1):
+        assert run_trials(process, state, trials, seed).yes == sum(yes[:trials])
+
+
+def assert_decides_as_kernel(process, state, r):
+    """The decision on draw ``r`` as a float, as a float64 array, and the kernel's."""
+    decision = process.first_draw(state)
+    array = np.array([r, r], dtype=np.float64)
+    if decision.kept is not None:
+        assert decision.kept(array).tolist() == [decision.kept(r)] * 2
+        if not decision.kept(r):
+            with pytest.raises(RuntimeError, match="exhausted"):  # the kernel draws again
+                process.kernel(state, SequenceStream((r,)))
+            return
+    outcome, _post = process.kernel(state, SequenceStream((r,)))
+    assert bool(decision.yes(r)) is (outcome is YES)
+    assert decision.yes(array).tolist() == [outcome is YES] * 2
+
+
+@pytest.mark.parametrize("process,state,r,yes", [
+    (machine(UniformBreak()), EQUATOR, 0.5, False),  # r - 0.5 == 0.5 * c: a tie is no
+    (machine(UniformBreak()), EQUATOR, math.nextafter(0.5, 0.0), True),
+    (machine(SegmentBreak(0.25)), EQUATOR, 0.5, False),
+    (machine(SegmentBreak(1e-310)), EQUATOR, 0.5, False),
+    (machine(SegmentBreak(1e-310)), EQUATOR, math.nextafter(0.5, 0.0), True),
+    # at a subnormal cos gamma, 0.5 * c rounds to 0 but 2**599 * c does not
+    (machine(UniformBreak()), SpherePoint((1.0, 0.0, 5e-324)), 0.5, False),
+    (machine(SegmentBreak(1.0)), SpherePoint((1.0, 0.0, 5e-324)), 0.5, True),
+    (machine(UniformBreak()), SOUTH, 0.0, False),  # the poles are certain
+    (machine(UniformBreak()), NORTH, 1.0 - 2.0**-53, True),
+    (LEFT_HANDEDNESS, ElasticBandState.unbroken(1.0), 0.5, False),
+    (LEFT_HANDEDNESS, ElasticBandState.unbroken(1.0), math.nextafter(0.5, 1.0), True),
+    (FRAGMENTATION, ElasticBandState((0.7, 0.2, 0.1), 1.0), 1 / 3, True),  # 3 * (1/3) rounds to 1
+    (FRAGMENTATION, ElasticBandState((0.7, 0.2, 0.1), 1.0), math.nextafter(1 / 3, 0.0), False),
+    (COIN, DRY_INTACT, 0.5, True),  # picks floatability
+    (COIN, DRY_INTACT, math.nextafter(0.5, 0.0), False),
+])
+def test_decisions_at_tie_draws(process, state, r, yes):
+    assert bool(process.first_draw(state).yes(r)) is yes
+    assert_decides_as_kernel(process, state, r)
+
+
+@pytest.mark.parametrize("r,kept", [(0.0, False), (0.25, False), (0.5, True), (0.75, False)])
+def test_redrawn_first_draws(r, kept):
+    decision = LEFT_HANDEDNESS.first_draw(SUBNORMAL_BAND)
+    assert bool(decision.kept(r)) is kept
+    assert_decides_as_kernel(LEFT_HANDEDNESS, SUBNORMAL_BAND, r)
+
+
+@given(case=st.sampled_from(FIRST_DRAW_CASES), r=DRAWS)
+@settings(max_examples=300, deadline=None)
+def test_decision_is_the_kernel_on_one_draw(case, r):
+    assert_decides_as_kernel(*case, r)
+
+
+@given(r=DRAWS, n=st.integers(1, 10**6))
+@settings(max_examples=300, deadline=None)
+def test_pick_truncates_alike_on_floats_and_arrays(r, n):
+    i = pick(r, n)
+    assert i == min(int(r * n), n - 1)
+    assert 0 <= i < n
+    assert pick(np.array([r]), n).tolist() == [i]

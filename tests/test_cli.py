@@ -438,15 +438,16 @@ class TestConfigFile:
 
 
 def test_cli_run_leaves_scipy_stats_unimported(tmp_path):
-    # the CLI reports no chi-square and builds its angle grid in plain floats,
-    # so a run must pay for neither scipy.stats nor numpy
+    # the CLI reports no chi-square, so a run must not pay for scipy.stats; numpy
+    # loads only when a run counts outcomes in blocks, never with ``import obsim.cli``
     src = Path(cli.__file__).resolve().parents[1]
     script = (
         "import sys\n"
         "from obsim import cli\n"
+        "numpy_at_import = 'numpy' in sys.modules\n"
         f"code = cli.main(['quantum-machine', '--gamma-grid', '3', '--trials', '10', "
         f"'--out', {str(tmp_path / 'qm.csv')!r}])\n"
-        "print(code, 'scipy.stats' in sys.modules, 'numpy' in sys.modules)\n"
+        "print(code, 'scipy.stats' in sys.modules, numpy_at_import)\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,

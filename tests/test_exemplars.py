@@ -332,6 +332,14 @@ class TestElasticState:
         with pytest.raises(ValueError):
             ElasticBandState((0.5, 0.4), 1.0).validate()
 
+    @pytest.mark.parametrize("fragments,length", [
+        ((0.5, math.nan), 1.0), ((math.inf,), math.inf), ((math.inf,), 1.0), ((0.5,), math.nan),
+    ])
+    def test_nan_or_infinite_band_is_rejected(self, fragments, length):
+        # NaN compares false to everything, so each check is written to fail on it
+        with pytest.raises(ValueError):
+            ElasticBandState(fragments, length).validate()
+
     def test_descriptors(self):
         assert str(DRY_INTACT) == "wood(intact,dry)"
         assert str(ASHES) == "wood(ashes)"

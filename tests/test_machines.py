@@ -11,6 +11,7 @@ from obsim import (
     SawtoothRuler,
     SegmentBreak,
     SequenceStream,
+    SolidState,
     SpherePoint,
     TrialStream,
     UniformBreak,
@@ -209,6 +210,16 @@ class TestMachineKernel:
         # a NaN norm fails every comparison; accepted, it would clamp cos to 1
         # and answer yes on every trial
         with pytest.raises(ValueError, match="unit vector"):
+            build()
+
+    @pytest.mark.parametrize("build", [
+        lambda: SolidState(math.inf, 0.5),
+        lambda: SolidState(math.nan, 0.5),
+        lambda: ElasticApparatus(RHO, math.inf),
+        lambda: ElasticApparatus(RHO, math.nan),
+    ])
+    def test_infinite_sizes_are_rejected(self, build):
+        with pytest.raises(ValueError, match="positive and finite"):
             build()
 
     def test_sphere_point_at(self):
