@@ -52,6 +52,7 @@ _DEFAULT_GRID = {"quantum-machine": 13, "epsilon-sweep": 25}
 # except for elastic, where every break is a report row held in memory
 _MAX_TRIALS = {**dict.fromkeys(SCENARIOS, 10_000_000), "elastic": 200_000}
 _MAX_GAMMA_GRID = 10_000
+_MAX_EPSILONS = 16
 _DEFAULT_EPSILONS = (0.25, 0.5, 0.75, 1.0)
 _CONFIG_KEYS = ("trials", "seed", "gamma_grid", "epsilon", "out", "format", "workers")
 
@@ -175,7 +176,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="count of equispaced angles on [0, pi] inclusive, "
                         f"at most {_MAX_GAMMA_GRID}")
         sp.add_argument("--epsilon", type=float, action="append", default=None,
-                        help="segment width in [0, 1]; repeatable")
+                        help=f"segment width in [0, 1]; repeatable, at most {_MAX_EPSILONS} "
+                        "times, as each (width, angle) pair is a row held in memory")
         sp.add_argument("--out", type=str, default=None, help="output path (stdout if omitted)")
         sp.add_argument("--format", choices=("csv", "json"), default=None)
         sp.add_argument("--check", action="store_true",
@@ -213,6 +215,9 @@ def _merge_config(args: argparse.Namespace) -> dict:
         raise ConfigError(f"--gamma-grid must be in [2, {_MAX_GAMMA_GRID}], "
                           f"got {cfg['gamma_grid']}")
     if cfg["epsilon"] is not None:
+        if len(cfg["epsilon"]) > _MAX_EPSILONS:
+            raise ConfigError(f"--epsilon takes at most {_MAX_EPSILONS} widths, "
+                              f"got {len(cfg['epsilon'])}")
         for eps in cfg["epsilon"]:
             if not 0.0 <= eps <= 1.0:
                 raise ConfigError(f"--epsilon must be in [0, 1], got {eps}")

@@ -124,7 +124,6 @@ class ObservationProcess:
     branches: Optional[Callable[[object], "tuple[Branch, ...]"]] = None
     posts_exact: bool = True
     repeat_probs: Optional[Callable[[object], "tuple[float, ...]"]] = None
-    description: str = ""
     first_draw: Optional[Callable[[object], "Outcome | FirstDraw | None"]] = None
 
     def check_scenario(self, state: object) -> None:

@@ -102,12 +102,12 @@ class ElasticBandState:
     def unbroken(length: float = 1.0) -> "ElasticBandState":
         return ElasticBandState((length,), length)
 
-    def validate(self, tol: float = 1e-9) -> None:
+    def validate(self) -> None:
         # written so that NaN fails: it compares false to everything
         if any(not f > 0.0 for f in self.fragments):
             raise ValueError("elastic fragments must be strictly positive")
         total = math.fsum(self.fragments)
-        if not abs(total - self.original_length) <= tol:
+        if not abs(total - self.original_length) <= 1e-9:
             raise ValueError(
                 f"elastic length not conserved: fragments sum to {total!r}, "
                 f"expected {self.original_length!r}"
@@ -124,9 +124,7 @@ class ElasticBandState:
         return f"elastic({len(self.fragments)} fragments of {self.original_length:.6g})"
 
 
-def _deterministic_process(
-    id: str, scenario: type, kernel, analytic, description: str
-) -> ObservationProcess:
+def _deterministic_process(id: str, scenario: type, kernel, analytic) -> ObservationProcess:
     """A process whose kernel takes no draws: its single outcome branch is
     read off one kernel call; the closed-form analytic stays the reference."""
 
@@ -140,7 +138,6 @@ def _deterministic_process(
         kernel=kernel,
         analytic=analytic,
         branches=branches,
-        description=description,
         first_draw=lambda state: kernel(state, SequenceStream(()))[0],
     )
 
@@ -176,27 +173,15 @@ def _floatability_analytic(state: WoodState) -> float:
 
 
 BURNABILITY = _deterministic_process(
-    "burnability",
-    WoodState,
-    _burnability_kernel,
-    _burnability_analytic,
-    "flame contact for 30 s; yes when the piece disintegrates to ashes (no draws)",
+    "burnability", WoodState, _burnability_kernel, _burnability_analytic
 )
 
 NON_BURNABILITY = _deterministic_process(
-    "non-burnability",
-    WoodState,
-    _non_burnability_kernel,
-    lambda s: 1.0 - _burnability_analytic(s),
-    "same procedure as burnability with the outcome inverted (no draws)",
+    "non-burnability", WoodState, _non_burnability_kernel, lambda s: 1.0 - _burnability_analytic(s)
 )
 
 FLOATABILITY = _deterministic_process(
-    "floatability",
-    WoodState,
-    _floatability_kernel,
-    _floatability_analytic,
-    "full immersion; yes when buoyancy wins; the piece comes out wet (no draws)",
+    "floatability", WoodState, _floatability_kernel, _floatability_analytic
 )
 
 
@@ -216,11 +201,7 @@ def _incompressibility_analytic(state: SolidState) -> float:
 
 
 INCOMPRESSIBILITY = _deterministic_process(
-    "incompressibility",
-    SolidState,
-    _incompressibility_kernel,
-    _incompressibility_analytic,
-    "standard press; yes when volume loss is at most 1%; compaction is permanent (no draws)",
+    "incompressibility", SolidState, _incompressibility_kernel, _incompressibility_analytic
 )
 
 
@@ -300,13 +281,11 @@ LEFT_HANDEDNESS = ObservationProcess(
     branches=_left_handedness_branches,
     posts_exact=False,
     repeat_probs=lambda s: (0.5,),  # every yes-post answers 1/2 again
-    description="stretch the longest fragment until it breaks; yes when the longer piece "
-    "stays in the left hand (one draw)",
     first_draw=_left_handedness_first_draw,
 )
 
 
-def _pick_process(id: str, compare, description: str) -> ObservationProcess:
+def _pick_process(id: str, compare) -> ObservationProcess:
     """Blind count-uniform pick of one fragment (one draw, non-invasive);
     yes when ``compare(fragment, half the original length)`` holds."""
 
@@ -336,25 +315,13 @@ def _pick_process(id: str, compare, description: str) -> ObservationProcess:
         kernel=kernel,
         analytic=analytic,
         branches=branches,
-        description=description,
         first_draw=first_draw,
     )
 
 
-FRAGMENTATION = _pick_process(
-    "fragmentation",
-    operator.lt,
-    "blind count-uniform pick from the box; yes when the fragment is strictly "
-    "shorter than half the original length (one draw)",
-)
-
+FRAGMENTATION = _pick_process("fragmentation", operator.lt)
 # a fragment of exactly half answers no to both picks
-NON_FRAGMENTATION = _pick_process(
-    "non-fragmentation",
-    operator.gt,
-    "blind count-uniform pick; yes when the fragment is strictly longer than "
-    "half the original length (one draw)",
-)
+NON_FRAGMENTATION = _pick_process("non-fragmentation", operator.gt)
 
 
 # --- elastic trajectories ---------------------------------------------------

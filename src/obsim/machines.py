@@ -126,18 +126,9 @@ class ElasticApparatus:
             )
 
 
-def sphere_point_at(gamma: float, rho=(0.0, 0.0, 1.0), axis=(1.0, 0.0, 0.0)) -> SpherePoint:
-    """Particle direction at angle ``gamma`` from ``rho``, tilted toward
-    ``axis`` (orthonormalized against rho)."""
-    _check_unit(rho, "rho")
-    d = axis[0] * rho[0] + axis[1] * rho[1] + axis[2] * rho[2]
-    e = (axis[0] - d * rho[0], axis[1] - d * rho[1], axis[2] - d * rho[2])
-    n = _norm3(e)
-    if n < 1e-12:
-        raise ValueError("axis must not be parallel to rho")
-    e = (e[0] / n, e[1] / n, e[2] / n)
-    s, c = math.sin(gamma), math.cos(gamma)
-    return SpherePoint((s * e[0] + c * rho[0], s * e[1] + c * rho[1], s * e[2] + c * rho[2]))
+def sphere_point_at(gamma: float) -> SpherePoint:
+    """Particle direction at angle ``gamma`` from +z, tilted toward +x."""
+    return SpherePoint((math.sin(gamma), 0.0, math.cos(gamma)))
 
 
 def _cos_between(u, rho) -> float:
@@ -233,11 +224,6 @@ def quantum_machine_process(apparatus: ElasticApparatus, id: str | None = None) 
         kernel=kernel,
         analytic=analytic,
         branches=branches,
-        description=(
-            "drop the particle onto the stripped band, wait for the hidden break, "
-            "yes when it is carried to the + endpoint; one draw per call for "
-            "uniform/segment profiles, zero for a fixed point"
-        ),
         first_draw=first_draw,
     )
 
@@ -328,8 +314,4 @@ def sawtooth_position_process(
         kernel=kernel,
         analytic=analytic,
         branches=branches,
-        description=(
-            "snap to the nearest cavity center, yes when it is the target cavity; "
-            "one draw only at a tooth tip"
-        ),
     )

@@ -67,7 +67,7 @@ def product_analytic(prod: ProductObservation, state: object) -> float:
     return sum(comp.analytic_prob(state) for comp in prod.components) / len(prod.components)
 
 
-def product_process(prod: ProductObservation, id: str | None = None) -> ObservationProcess:
+def product_process(prod: ProductObservation) -> ObservationProcess:
     """Expose a product as an ordinary ObservationProcess."""
     have_analytic = all(c.analytic is not None for c in prod.components)
     have_branches = all(c.branches is not None for c in prod.components)
@@ -94,13 +94,12 @@ def product_process(prod: ProductObservation, id: str | None = None) -> Observat
         return pick_decision([o is YES for o in outcomes])
 
     return ObservationProcess(
-        id=id or "product(" + ",".join(c.id for c in prod.components) + ")",
+        id="product(" + ",".join(c.id for c in prod.components) + ")",
         scenario=prod.scenario,
         kernel=kernel,
         analytic=analytic if have_analytic else None,
         branches=branches if have_branches else None,
         posts_exact=all(c.posts_exact for c in prod.components),
-        description="choose one component uniformly (one draw), then run it",
         first_draw=first_draw,
     )
 

@@ -61,7 +61,7 @@ class TrialStream:
 def pick(r, n: int):
     """The index in range(n) that the draw ``r`` picks: ``int(r * n)``, at most
     ``n - 1``; elementwise, as int64, on a float64 array of draws."""
-    if isinstance(r, float):
+    if isinstance(r, (int, float)):
         i = int(r * n)
         return n - 1 if i >= n else i
     return (r * n).astype("int64").clip(None, n - 1)  # truncates as int() does

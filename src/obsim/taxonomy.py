@@ -114,14 +114,14 @@ def _branches_or_raise(process: ObservationProcess, state: object) -> tuple[Bran
     return process.branches(state)
 
 
-def _confirm(process: ObservationProcess, state: object, want: Branch,
-             match_post: bool) -> ObservationRecord:
+def _confirm(process: ObservationProcess, state: object, want: Branch) -> ObservationRecord:
     """Find a replayable record realizing the witnessed branch, by sampling
-    the kernel from the witness state with fixed-seed streams. A verdict
-    without its record is not decided, so finding none raises."""
+    the kernel from the witness state with fixed-seed streams; the post-state
+    must match too where the process's posts are exact. A verdict without its
+    record is not decided, so finding none raises."""
     for t in range(_WITNESS_TRIES):
         outcome, post, record = observe(process, state, TrialStream(_WITNESS_SEED, t), index=t)
-        if outcome is want.outcome and (not match_post or post == want.post):
+        if outcome is want.outcome and (not process.posts_exact or post == want.post):
             return record
     raise NotDecidableError(
         f"process {process.id!r}: no record confirms the {want.outcome.value} branch "
@@ -168,11 +168,11 @@ def effect_verdict(prop: PropertyDef, probe: StateProbe) -> EffectVerdict:
         )
     if creation is not None:
         state, branch = creation
-        record = _confirm(process, state, branch, match_post=process.posts_exact)
+        record = _confirm(process, state, branch)
         return EffectVerdict(Effect.INVASIVE_CREATION, state, record)
     if destruction is not None:
         state, branch = destruction
-        record = _confirm(process, state, branch, match_post=process.posts_exact)
+        record = _confirm(process, state, branch)
         return EffectVerdict(Effect.INVASIVE_DESTRUCTION, state, record)
     if not destruction_decidable:
         raise NotDecidableError(

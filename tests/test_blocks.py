@@ -20,8 +20,10 @@ from obsim import (
     NON_FRAGMENTATION,
     ElasticApparatus,
     ElasticBandState,
+    LinePosition,
     PointBreak,
     ProductObservation,
+    SawtoothRuler,
     SegmentBreak,
     SequenceStream,
     SolidState,
@@ -31,6 +33,7 @@ from obsim import (
     product_process,
     quantum_machine_process,
     run_trials,
+    sawtooth_position_process,
     sphere_point_at,
 )
 from obsim import blocks
@@ -192,3 +195,14 @@ def test_pick_truncates_alike_on_floats_and_arrays(r, n):
     assert i == min(int(r * n), n - 1)
     assert 0 <= i < n
     assert pick(np.array([r]), n).tolist() == [i]
+
+
+@pytest.mark.parametrize("process,state", [
+    (COIN, DRY_INTACT),
+    (FRAGMENTATION, ElasticBandState((0.3, 0.7), 1.0)),
+    (sawtooth_position_process(SawtoothRuler(), 0), LinePosition(0.5)),  # a tooth tip
+])
+def test_kernels_take_an_int_draw_as_its_float(process, state):
+    # a replayed draw may be an int; pick must not take it for an array
+    assert process.kernel(state, SequenceStream((0,))) == process.kernel(state, SequenceStream((0.0,)))
+    assert pick(0, 3) == 0

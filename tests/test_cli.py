@@ -65,6 +65,7 @@ class TestExitCodes:
             (("all", "--trials", "10000001", "--out", "bundle"), "--trials", "10000000"),
             (("quantum-machine", "--gamma-grid", "1000000000"), "--gamma-grid", "10000"),
             (("epsilon-sweep", "--gamma-grid", "10001"), "--gamma-grid", "10000"),
+            (("epsilon-sweep",) + ("--epsilon", "0.5") * 17, "--epsilon", "16"),
         ],
     )
     def test_over_a_bound_rejected_before_any_trial(self, tmp_path, monkeypatch, capsys,
@@ -469,7 +470,9 @@ def test_gamma_grid_is_linspace_bit_for_bit(n):
 
 OUT_NAMES = ("r.csv", "r.json", "bundle", "missing/r.csv", ".", "taken.csv", "busy")
 CONFIG_VALUES = ("", "0", "1", "3", "20", "-1", "1.5", "0.5", "0.25, 0.75", ",", "nan",
-                 "abc", "csv", "json", "xml", "1e3")
+                 "abc", "csv", "json", "xml", "1e3",
+                 ", ".join(str(k / 16) for k in range(16)),  # the most widths allowed
+                 ", ".join(str(k / 16) for k in range(17)))  # one too many
 CONFIG_LINES = st.one_of(
     st.tuples(st.sampled_from(("trials", "seed", "gamma-grid", "gamma_grid", "epsilon",
                                "format", "workers", "bogus", "check")),

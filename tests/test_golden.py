@@ -6,6 +6,10 @@ them changes the determinism contract and must say so.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -49,6 +53,33 @@ def test_all_bundle_bytes_are_pinned(tmp_path, fmt):
     assert cli.main(argv) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert digests == GOLDEN_SHA256[fmt]
+
+
+# sha256 of each demo's stdout; the demos run at fixed seeds, so their text is
+# as much a pure function of the code as the report files are
+DEMO_STDOUT_SHA256 = {
+    "classify_processes.py": "b906b8e00e6f29f25febc4c0f7c08ce1b8f5fc5e838ae8a7ad79d68658950375",
+    "elastic_trajectories.py": "62d3b9bd31e4e14abd63eb5ea240c0aacf2da5574728212c23dc2d70230ca1ac",
+    "epsilon_regimes.py": "4549b3aa41844c061a3842f1ca5d13da3c27dd86ca3d640b92aed918f1dbbbe0",
+    "quantum_machine_curve.py": "67f3bfc8b4d6b71c8b3b8bfe977bb030d3abe7cc8eb33f0957c82dbf97633fa6",
+    "replayable_records.py": "a1db47d2cb96fc1775435adccd65dfb68ec913faee11a3fa6ea3e57102712463",
+    "wood_meet_properties.py": "411eb713595929bf920f1e1d054e22701781b2a0a826806f6c80600a8ec91fe5",
+}
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
+
+def test_every_demo_is_pinned():
+    assert sorted(p.name for p in DEMOS.glob("*.py")) == sorted(DEMO_STDOUT_SHA256)
+
+
+@pytest.mark.parametrize("demo", sorted(DEMO_STDOUT_SHA256))
+def test_demo_stdout_is_pinned(demo):
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, str(DEMOS / demo)], capture_output=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
+    assert hashlib.sha256(done.stdout).hexdigest() == DEMO_STDOUT_SHA256[demo]
 
 
 COIN = ProductObservation((NON_BURNABILITY, FLOATABILITY))

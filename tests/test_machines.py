@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from obsim import (
@@ -228,8 +228,16 @@ class TestMachineKernel:
             assert u[0] * RHO[0] + u[1] * RHO[1] + u[2] * RHO[2] == pytest.approx(
                 math.cos(gamma), abs=1e-12
             )
-        with pytest.raises(ValueError):
-            sphere_point_at(1.0, rho=RHO, axis=(0.0, 0.0, 2.0))
+
+    @given(gamma=st.floats(min_value=0.0, max_value=PI))
+    @example(gamma=0.0)
+    @example(gamma=PI / 2)
+    @example(gamma=PI)
+    @settings(max_examples=300, deadline=None)
+    def test_sphere_point_at_tilts_toward_x(self, gamma):
+        u = sphere_point_at(gamma).direction
+        assert u == (math.sin(gamma), 0.0, math.cos(gamma))
+        assert math.copysign(1.0, u[1]) == 1.0  # y is +0.0, never -0.0
 
 
 class TestSawtooth:
