@@ -1,4 +1,4 @@
-"""Yes counts of one-draw trials, a block of trial indices at a time.
+"""Yes counts and audit records of trials, a block of trial indices at a time.
 
 Trial i's stream starts at ``mix64(s + (i + 1) * GOLDEN)``, so its first draw
 depends on (s, i) alone: a block of first draws is a few uint64 array
@@ -6,14 +6,15 @@ operations with no sequential state (a counter-based generator, as in
 Salmon et al., SC 2011). A process's :class:`~obsim.core.FirstDraw` decides
 each draw with the expression its kernel uses, and a trial whose kernel
 would draw again is run by the kernel itself, so every count equals the
-kernel loop's.
+kernel loop's. A record is the kernel's on a stream whose first draw comes
+from the block, so every record equals :func:`~obsim.core.observe`'s.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import YES, FirstDraw, Kernel
+from .core import YES, FirstDraw, Kernel, ObservationProcess, ObservationRecord
 from .randomness import _GOLDEN, _INV_2_53, _MASK64, TrialStream
 
 BLOCK = 1 << 14  # trials per block: memory stays flat whatever the trial count
@@ -62,3 +63,41 @@ def count_yes(decision: FirstDraw, kernel: Kernel, state: object, seed: int, tri
                 yes += kernel(state, TrialStream(seed, start + i))[0] is YES
         yes += int(np.count_nonzero(hit))
     return yes
+
+
+class _PrimedStream:
+    """Trial ``index``'s stream with its first draw ``first`` taken from a block:
+    later draws come from TrialStream(seed, index), built only when the kernel
+    asks for one. ``draws`` keeps every draw handed out."""
+
+    __slots__ = ("draws", "_first", "_seed", "_index", "_rest")
+
+    def __init__(self, first: float, seed: int, index: int):
+        self.draws: list[float] = []
+        self._first, self._seed, self._index = first, seed, index
+        self._rest = None
+
+    def draw(self) -> float:
+        if not self.draws:
+            value = self._first
+        else:
+            if self._rest is None:
+                self._rest = TrialStream(self._seed, self._index)
+                self._rest.draw()  # the first draw, already handed out
+            value = self._rest.draw()
+        self.draws.append(value)
+        return value
+
+
+def record_trials(process: ObservationProcess, state: object, seed: int, trials: int) -> list:
+    """``observe(process, state, TrialStream(seed, i), index=i)``'s record for
+    every i in range(trials), on a ``state`` already checked to be of the
+    process's scenario."""
+    kernel, process_id = process.kernel, process.id
+    records = []
+    for start in range(0, trials, BLOCK):
+        for i, r in enumerate(first_draws(seed, start, min(start + BLOCK, trials)).tolist(), start):
+            rng = _PrimedStream(r, seed, i)
+            outcome, post = kernel(state, rng)
+            records.append(ObservationRecord(process_id, state, outcome, post, tuple(rng.draws), i))
+    return records

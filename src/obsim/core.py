@@ -8,9 +8,9 @@ a state exactly when the process answers yes with analytic probability 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from .randomness import DrawSource, RecordingStream, SequenceStream, pick
 
@@ -160,8 +160,7 @@ class PropertyDef:
         return is_actual(self, state)
 
 
-@dataclass(frozen=True)
-class ObservationRecord:
+class ObservationRecord(NamedTuple):
     """Audit record of one observation: replaying the kernel on ``pre_state``
     with ``draws`` reproduces ``(outcome, post_state)`` bit-exactly."""
 

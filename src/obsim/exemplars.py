@@ -147,7 +147,7 @@ def _deterministic_process(id: str, scenario: type, kernel, analytic) -> Observa
 def _burnability_kernel(state: WoodState, rng: DrawSource) -> tuple[Outcome, WoodState]:
     # no draws
     if state.integrity is Integrity.INTACT and state.moisture is Moisture.DRY:
-        return YES, WoodState(Integrity.ASHES, state.moisture)
+        return YES, ASHES  # only dry wood burns: ASHES has its moisture
     return NO, state
 
 
@@ -164,7 +164,7 @@ def _non_burnability_kernel(state: WoodState, rng: DrawSource) -> tuple[Outcome,
 def _floatability_kernel(state: WoodState, rng: DrawSource) -> tuple[Outcome, WoodState]:
     # no draws; an intact piece floats and comes out wet, ashes sink
     if state.integrity is Integrity.INTACT:
-        return YES, WoodState(Integrity.INTACT, Moisture.WET)
+        return YES, WET_INTACT
     return NO, state
 
 

@@ -131,11 +131,11 @@ def sphere_point_at(gamma: float) -> SpherePoint:
     return SpherePoint((math.sin(gamma), 0.0, math.cos(gamma)))
 
 
-def _cos_between(u, rho) -> float:
+def _cos_between(u, rho, minus_rho) -> float:
     # exact endpoints first so post-states sit at cos = +/-1 bit-exactly
     if u == rho:
         return 1.0
-    if u == _neg(rho):
+    if u == minus_rho:
         return -1.0
     c = u[0] * rho[0] + u[1] * rho[1] + u[2] * rho[2]
     return max(-1.0, min(1.0, c))
@@ -193,12 +193,13 @@ def quantum_machine_process(apparatus: ElasticApparatus, id: str | None = None) 
     """
     rho = apparatus.orientation
     profile = apparatus.profile
+    minus_rho = _neg(rho)
     post_plus = SpherePoint(rho)
-    post_minus = SpherePoint(_neg(rho))
+    post_minus = SpherePoint(minus_rho)
     yes_test = _yes_test(profile)
 
     def kernel(state: SpherePoint, rng: DrawSource) -> tuple[Outcome, SpherePoint]:
-        c = _cos_between(state.direction, rho)
+        c = _cos_between(state.direction, rho, minus_rho)
         if yes_test is None:
             yes = 0.5 * (1.0 + c) > profile.position
         else:
@@ -208,11 +209,11 @@ def quantum_machine_process(apparatus: ElasticApparatus, id: str | None = None) 
     def first_draw(state: SpherePoint) -> Outcome | FirstDraw:
         if yes_test is None:
             return kernel(state, SequenceStream(()))[0]
-        c = _cos_between(state.direction, rho)
+        c = _cos_between(state.direction, rho, minus_rho)
         return FirstDraw(lambda r: yes_test(r, c))
 
     def analytic(state: SpherePoint) -> float:
-        return _prob_from_cos(_cos_between(state.direction, rho), profile)
+        return _prob_from_cos(_cos_between(state.direction, rho, minus_rho), profile)
 
     def branches(state: SpherePoint) -> tuple[Branch, ...]:
         p = analytic(state)

@@ -15,8 +15,11 @@ from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Optional, Sequence
 
-from .core import YES, ObservationProcess, Outcome, observe
+from .core import YES, ObservationProcess, Outcome
 from .randomness import TrialStream, substream_seed
+
+
+BLOCKS_FROM = 8  # trials; a shorter run is faster in the kernel loop than numpy's set-up
 
 
 def wilson_interval(yes: int, trials: int, confidence: float) -> tuple[float, float]:
@@ -72,10 +75,11 @@ def run_trials(
 
     Trial i draws from TrialStream(seed, i) alone, so the report is the same
     however the trials are scheduled: they run in one thread in index order,
-    and ``workers`` is accepted but has no effect. Without records, a process
-    whose ``first_draw`` decides the state has its yes outcomes counted
-    without a kernel call per trial (in numpy blocks of first draws when the
-    draw matters); the count equals the kernel loop's.
+    and ``workers`` is accepted but has no effect. Each record is the
+    kernel's on its trial's first draw taken from a numpy block. Without
+    records, from ``BLOCKS_FROM`` trials on, a process whose ``first_draw``
+    decides the state has its yes outcomes counted in blocks without a
+    kernel call per trial. Counts and records equal the kernel loop's.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
@@ -86,26 +90,23 @@ def run_trials(
         analytic = process.analytic(initial_state)
 
     decision = None
-    if not collect_records and process.first_draw is not None:
+    if trials >= BLOCKS_FROM and not collect_records and process.first_draw is not None:
         decision = process.first_draw(initial_state)
-    records: list | None = [] if collect_records else None
+    records = None
     kernel = process.kernel
-    yes = 0
-    if isinstance(decision, Outcome):
+    if collect_records:
+        from .blocks import record_trials  # numpy: only a run that records or counts in blocks
+
+        records = record_trials(process, initial_state, seed, trials)
+        yes = sum(rec.outcome is YES for rec in records)
+    elif isinstance(decision, Outcome):
         yes = trials if decision is YES else 0
     elif decision is not None:
-        from .blocks import count_yes  # numpy: only a run that counts in blocks imports it
+        from .blocks import count_yes
 
         yes = count_yes(decision, kernel, initial_state, seed, trials)
     else:
-        for i in range(trials):
-            if records is None:
-                outcome, _post = kernel(initial_state, TrialStream(seed, i))
-            else:
-                outcome, _post, rec = observe(process, initial_state, TrialStream(seed, i), index=i)
-                records.append(rec)
-            if outcome is YES:
-                yes += 1
+        yes = sum(kernel(initial_state, TrialStream(seed, i))[0] is YES for i in range(trials))
 
     p_hat = yes / trials
     low, high = wilson_interval(yes, trials, 0.99)

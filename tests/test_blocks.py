@@ -1,7 +1,10 @@
-"""Block counting against the scalar kernel: equal reports, bit for bit."""
+"""Block counts and records against the scalar kernel loop, bit for bit."""
 
-import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -30,13 +33,14 @@ from obsim import (
     SpherePoint,
     TrialStream,
     UniformBreak,
+    observe,
     product_process,
     quantum_machine_process,
     run_trials,
     sawtooth_position_process,
     sphere_point_at,
 )
-from obsim import blocks
+from obsim import blocks, stats
 from obsim.core import YES, FirstDraw, Outcome
 from obsim.randomness import pick
 
@@ -71,6 +75,12 @@ BLOCK_CASES = [(machine(p), s) for p in PROFILES for s in MACHINE_STATES] + [
     (INCOMPRESSIBILITY, SolidState(1.0, 0.5)),
 ]
 FIRST_DRAW_CASES = [(p, s) for p, s in BLOCK_CASES if isinstance(p.first_draw(s), FirstDraw)]
+TOOTH_TIP = (sawtooth_position_process(SawtoothRuler(), 0), LinePosition(0.5))
+# the pick and then the chosen machine: every trial draws twice
+TWO_MACHINES = product_process(
+    ProductObservation((machine(UniformBreak()), machine(SegmentBreak(0.25))))
+)
+RECORD_CASES = BLOCK_CASES + [TOOTH_TIP, (TWO_MACHINES, sphere_point_at(1.0))]
 
 # a draw is k * 2**-53; ties and their neighbours are the draws that matter
 DRAWS = st.one_of(
@@ -81,10 +91,9 @@ DRAWS = st.one_of(
 )
 
 
-def scalar_report(process, state, trials, seed):
-    """The kernel loop's report: collecting records always runs the kernel."""
-    report = run_trials(process, state, trials, seed, collect_records=True)
-    return dataclasses.replace(report, records=None)
+def observe_loop(process, state, trials, seed):
+    """The records of the kernel loop, each trial on its own TrialStream."""
+    return [observe(process, state, TrialStream(seed, i), index=i)[2] for i in range(trials)]
 
 
 def test_every_case_is_decided_without_the_kernel_loop():
@@ -107,25 +116,71 @@ def test_first_draws_are_the_stream_draws(seed, start, n):
     assert draws.tolist() == [TrialStream(seed, i).draw() for i in range(start, start + n)]
 
 
-@given(
-    case=st.sampled_from(BLOCK_CASES),
+# one short of, on, or one past a block edge, with a small block so edges are cheap;
+# up to 24 blocks, so that runs fall on both sides of stats.BLOCKS_FROM
+BLOCK_EDGES = dict(
     seed=st.integers(0, 2**64 - 1),
     block=st.integers(1, 16),
-    full_blocks=st.integers(0, 3),
+    full_blocks=st.integers(0, 24),
     edge=st.sampled_from((-1, 0, 1)),
 )
+
+
+@given(case=st.sampled_from(BLOCK_CASES), **BLOCK_EDGES)
 @example(case=BLOCK_CASES[0], seed=0, block=4, full_blocks=2, edge=1)
 @example(case=(LEFT_HANDEDNESS, SUBNORMAL_BAND), seed=2**64 - 1, block=5, full_blocks=3, edge=-1)
+@example(case=BLOCK_CASES[0], seed=0, block=1, full_blocks=stats.BLOCKS_FROM, edge=-1)
+@example(case=BLOCK_CASES[0], seed=0, block=1, full_blocks=stats.BLOCKS_FROM, edge=0)
 @settings(max_examples=400, deadline=None)
 def test_block_count_is_the_kernel_loop(case, seed, block, full_blocks, edge):
-    # one short of, on, or one past a block edge, with a small block so edges are cheap
     process, state = case
     trials = max(1, full_blocks * block + edge)
     counter = mock.Mock(wraps=blocks.count_yes)
     with mock.patch.object(blocks, "BLOCK", block), mock.patch.object(blocks, "count_yes", counter):
         report = run_trials(process, state, trials, seed)
-    assert counter.called == isinstance(process.first_draw(state), FirstDraw)
-    assert report == scalar_report(process, state, trials, seed)
+    in_blocks = trials >= stats.BLOCKS_FROM and isinstance(process.first_draw(state), FirstDraw)
+    assert counter.called == in_blocks
+    assert report.records is None
+    assert report.yes == sum(rec.outcome is YES for rec in observe_loop(process, state, trials, seed))
+
+
+@given(case=st.sampled_from(RECORD_CASES), **BLOCK_EDGES)
+@example(case=(LEFT_HANDEDNESS, SUBNORMAL_BAND), seed=0, block=3, full_blocks=5, edge=1)
+@example(case=(LEFT_HANDEDNESS, SUBNORMAL_BAND), seed=2**64 - 1, block=16, full_blocks=2, edge=-1)
+@example(case=TOOTH_TIP, seed=2**64 - 1, block=7, full_blocks=2, edge=0)
+@example(case=RECORD_CASES[-1], seed=0, block=1, full_blocks=stats.BLOCKS_FROM, edge=0)
+@settings(max_examples=300, deadline=None)
+def test_records_are_the_observe_loop(case, seed, block, full_blocks, edge):
+    process, state = case
+    trials = max(1, full_blocks * block + edge)
+    with mock.patch.object(blocks, "BLOCK", block):
+        report = run_trials(process, state, trials, seed, collect_records=True)
+    expected = observe_loop(process, state, trials, seed)
+    for got, want in zip(report.records, expected, strict=True):
+        assert got == want
+    assert report.yes == sum(rec.outcome is YES for rec in expected)
+
+
+def test_short_runs_load_no_numpy():
+    # below the cut-over the kernel loop counts, and the coin's first_draw
+    # (whose mixed pick table is a numpy array) is not asked
+    src = Path(stats.__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        "from obsim import (DRY_INTACT, FLOATABILITY, NON_BURNABILITY, ElasticApparatus,\n"
+        "    ProductObservation, UniformBreak, product_process, quantum_machine_process,\n"
+        "    run_trials, sphere_point_at, stats)\n"
+        "coin = product_process(ProductObservation((NON_BURNABILITY, FLOATABILITY)))\n"
+        "uniform = quantum_machine_process(ElasticApparatus((0.0, 0.0, 1.0), 1.0, UniformBreak()))\n"
+        "for process, state in ((coin, DRY_INTACT), (uniform, sphere_point_at(1.0))):\n"
+        "    run_trials(process, state, stats.BLOCKS_FROM - 1, 0)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
@@ -135,6 +190,8 @@ def test_block_edges_at_the_real_block_size(seed):
     yes = [process.kernel(state, TrialStream(seed, i))[0] is YES for i in range(n + 1)]
     for trials in (n - 1, n, n + 1):
         assert run_trials(process, state, trials, seed).yes == sum(yes[:trials])
+        records = run_trials(process, state, trials, seed, collect_records=True).records
+        assert [rec.outcome is YES for rec in records] == yes[:trials]
 
 
 def assert_decides_as_kernel(process, state, r):

@@ -21,6 +21,7 @@ from obsim import (
     ObservationProcess,
     Outcome,
     PointBreak,
+    ProductObservation,
     PropertyDef,
     ScenarioMismatchError,
     SegmentBreak,
@@ -32,14 +33,17 @@ from obsim import (
     WoodState,
     is_actual,
     observe,
+    product_process,
     quantum_machine_process,
     repeat_yes_certain,
+    run_trials,
     sphere_point_at,
     verify_replay,
 )
 from obsim.core import NO, YES
 
 MACHINE = quantum_machine_process(ElasticApparatus((0.0, 0.0, 1.0), 1.0, UniformBreak()))
+COIN = product_process(ProductObservation((NON_BURNABILITY, FLOATABILITY)))
 
 ALL_PROCESS_STATES = [
     (BURNABILITY, DRY_INTACT),
@@ -158,6 +162,32 @@ class TestObserve:
     def test_replay_determinism(self, process, state, seed):
         _, _, record = observe(process, state, TrialStream(seed))
         assert verify_replay(process, record)
+
+    @pytest.mark.parametrize("process,state", [(MACHINE, sphere_point_at(1.0)), (COIN, DRY_INTACT)])
+    def test_tampered_records_fail_replay(self, process, state):
+        # the records of a run in blocks; both outcomes come up in 64 trials
+        records = run_trials(process, state, 64, 5, collect_records=True).records
+        assert {rec.outcome for rec in records} == {YES, NO}
+        for rec in records:
+            assert verify_replay(process, rec)
+            flip = next(r for r in (0.0, 0.9)
+                        if process.kernel(state, SequenceStream((r,)))[0] is not rec.outcome)
+            assert not verify_replay(process, rec._replace(outcome=rec.outcome.inverted()))
+            assert not verify_replay(process, rec._replace(draws=(flip,)))
+            assert not verify_replay(process, rec._replace(post_state=state))
+
+    def test_records_are_immutable_tuples(self):
+        _, _, rec = observe(MACHINE, sphere_point_at(1.0), TrialStream(3), index=7)
+        for name in rec._fields:
+            with pytest.raises(AttributeError):
+                setattr(rec, name, None)
+        assert repr(rec) == (
+            f"ObservationRecord(process_id={rec.process_id!r}, pre_state={rec.pre_state!r}, "
+            f"outcome={rec.outcome!r}, post_state={rec.post_state!r}, draws={rec.draws!r}, "
+            "index=7)"
+        )
+        process_id, pre, outcome, post, draws, index = rec
+        assert rec == (process_id, pre, outcome, post, draws, index)
 
 
 class TestActuality:
