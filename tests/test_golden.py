@@ -6,6 +6,7 @@ them changes the determinism contract and must say so.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -80,6 +81,48 @@ def test_demo_stdout_is_pinned(demo):
                           env=env, timeout=120)
     assert done.returncode == 0, done.stderr.decode()
     assert hashlib.sha256(done.stdout).hexdigest() == DEMO_STDOUT_SHA256[demo]
+
+
+# scipy is a test dependency only: with every scipy module refused by an import
+# finder, the acceptance checks pass and each demo prints its pinned bytes
+WITHOUT_SCIPY = """
+import contextlib, hashlib, importlib.abc, io, json, runpy, sys
+
+class RefuseScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"import of {name} refused", name=name)
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+try:
+    import scipy.stats
+    refused = False
+except ModuleNotFoundError:
+    refused = True
+from obsim import cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    check = cli.main(["all", "--out", sys.argv[1], "--check"])
+digests = {}
+for demo in sys.argv[2:]:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        runpy.run_path(demo, run_name="__main__")
+    digests[demo] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+print(json.dumps({"refused": refused, "check": check, "digests": digests}))
+"""
+
+
+def test_checks_and_demos_run_without_scipy(tmp_path):
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    demos = [str(DEMOS / demo) for demo in sorted(DEMO_STDOUT_SHA256)]
+    done = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, str(tmp_path / "all"), *demos],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["refused"] and result["check"] == 0
+    assert result["digests"] == {str(DEMOS / name): sha for name, sha in DEMO_STDOUT_SHA256.items()}
 
 
 COIN = ProductObservation((NON_BURNABILITY, FLOATABILITY))

@@ -17,6 +17,7 @@ from obsim import (
     UniformBreak,
     quantum_machine_prob,
     quantum_machine_process,
+    run_trials,
     sawtooth_observe,
     sawtooth_position_process,
     sphere_point_at,
@@ -26,6 +27,17 @@ from obsim.core import NO, YES
 
 PI = math.pi
 RHO = (0.0, 0.0, 1.0)
+
+
+def quad_oracle(gamma, width):
+    """The break-density integral by scipy's adaptive quadrature, split at the
+    landing point: the library reference for ``segment_prob_oracle``."""
+    from scipy.integrate import quad
+
+    landing = 0.5 * (1.0 + math.cos(gamma))
+    a, b = 0.5 - 0.5 * width, 0.5 + 0.5 * width
+    pts = (landing,) if a < landing < b else None
+    return quad(lambda x: 1.0 / width if x < landing else 0.0, a, b, points=pts, limit=200)[0]
 
 
 def uniform_apparatus():
@@ -137,21 +149,35 @@ class TestSegmentProfile:
                 formula = quantum_machine_prob(gamma, SegmentBreak(width))
                 assert abs(formula - segment_prob_oracle(gamma, width)) <= 1e-9
 
+    def test_oracle_is_quad_on_the_check_grid(self):
+        # the in-repo Gauss-Legendre oracle against scipy's adaptive quadrature
+        # with the same breakpoints, on check_segment_regime_map's 3 x 25 grid
+        for width in (0.25, 0.5, 0.75):
+            for k in range(25):
+                gamma = k * PI / 24
+                assert abs(segment_prob_oracle(gamma, width) - quad_oracle(gamma, width)) <= 1e-12
+
+    # Below about 1e-3 a piece between a band end and the landing point can be
+    # a few floats wide; both rules then evaluate nodes that round onto its
+    # ends and may differ by up to density x ulp(0.5), about 1e-16 / width.
+    @given(width=st.floats(min_value=1e-3, max_value=1.0), gamma=st.floats(min_value=0.0, max_value=PI))
+    @settings(max_examples=300, deadline=None)
+    def test_oracle_is_quad(self, width, gamma):
+        assert abs(segment_prob_oracle(gamma, width) - quad_oracle(gamma, width)) <= 1e-12
+
     def test_interior_value_from_oracle(self):
         gamma = math.acos(0.25)
         assert segment_prob_oracle(gamma, 0.5) == pytest.approx(0.75, abs=1e-12)
         assert quantum_machine_prob(gamma, SegmentBreak(0.5)) == pytest.approx(0.75, abs=1e-12)
 
     def test_interior_value_against_monte_carlo(self):
+        # run_trials counts in blocks the same integer as the kernel loop over
+        # TrialStream(2024, i) (test_blocks ties the two bit for bit)
         gamma = math.acos(0.25)
         process = quantum_machine_process(ElasticApparatus(RHO, 1.0, SegmentBreak(0.5)))
         state = sphere_point_at(gamma)
         trials = 1_000_000
-        yes = 0
-        for i in range(trials):
-            outcome, _ = process.kernel(state, TrialStream(2024, i))
-            if outcome is YES:
-                yes += 1
+        yes = run_trials(process, state, trials, 2024).yes
         sigma = math.sqrt(0.75 * 0.25 / trials)
         assert abs(yes / trials - 0.75) < 5 * sigma
 

@@ -38,6 +38,7 @@ from obsim import (
     wilson_interval,
 )
 from obsim.core import ScenarioMismatchError
+from obsim.stats import _chi_square_sf
 
 
 def machine(profile):
@@ -209,6 +210,45 @@ class TestSweep:
         assert dof == 3
         assert stat == pytest.approx(math.fsum(r.z_score**2 for r in reports), rel=1e-12)
         assert 0.0 <= p_value <= 1.0
+
+
+def scipy_chi2_sf(x, dof):
+    from scipy.stats import chi2
+
+    return float(chi2.sf(x, dof))
+
+
+class TestChiSquareTail:
+    """The closed-form p-value against scipy.stats.chi2.sf, the library reference."""
+
+    @given(dof=st.integers(min_value=1, max_value=400), ratio=st.floats(min_value=0.0, max_value=3.0))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scipy(self, dof, ratio):
+        x = ratio * dof
+        p, ref = _chi_square_sf(x, dof), scipy_chi2_sf(x, dof)
+        assert 0.0 <= p <= 1.0
+        assert abs(p - ref) <= 1e-11 * ref
+
+    # each log term near the peak is a difference of numbers near dof * log(dof),
+    # about 1e6 at dof 160 000, so rounding alone moves it by about 1e-10
+    @pytest.mark.parametrize("dof", [10_000, 80_001, 159_999, 160_000])
+    def test_matches_scipy_at_the_cli_bound(self, dof):
+        for factor in (0.9, 1.0, 1.05, 1.1, 1.2):
+            x = factor * dof
+            p, ref = _chi_square_sf(x, dof), scipy_chi2_sf(x, dof)
+            assert abs(p - ref) <= 1e-9 * ref, (x, dof)
+
+    def test_edges(self):
+        for dof in (1, 2, 3, 400, 160_000):
+            assert _chi_square_sf(0.0, dof) == 1.0
+            assert _chi_square_sf(5e-324, dof) == scipy_chi2_sf(5e-324, dof) == 1.0
+        for x in (1e-300, 1e-10, 0.5, 1.0, 30.0):
+            assert abs(_chi_square_sf(x, 1) - scipy_chi2_sf(x, 1)) <= 1e-11 * scipy_chi2_sf(x, 1)
+        # tails below the float range are 0.0: never NaN, never above 1
+        for x, dof in ((1_500.0, 1), (1e4, 2), (1e6, 400), (2e5, 160_000), (1e308, 3),
+                       (math.inf, 1), (math.inf, 2)):
+            assert scipy_chi2_sf(x, dof) == 0.0
+            assert _chi_square_sf(x, dof) == 0.0
 
 
 class TestEstimatorStatus:
