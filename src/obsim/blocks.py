@@ -68,24 +68,24 @@ def count_yes(decision: FirstDraw, kernel: Kernel, state: object, seed: int, tri
 class _PrimedStream:
     """Trial ``index``'s stream with its first draw ``first`` taken from a block:
     later draws come from TrialStream(seed, index), built only when the kernel
-    asks for one. ``draws`` keeps every draw handed out."""
+    asks for one. ``draws`` is the tuple of every draw handed out."""
 
     __slots__ = ("draws", "_first", "_seed", "_index", "_rest")
 
     def __init__(self, first: float, seed: int, index: int):
-        self.draws: list[float] = []
+        self.draws: tuple[float, ...] = ()
         self._first, self._seed, self._index = first, seed, index
         self._rest = None
 
     def draw(self) -> float:
         if not self.draws:
-            value = self._first
-        else:
-            if self._rest is None:
-                self._rest = TrialStream(self._seed, self._index)
-                self._rest.draw()  # the first draw, already handed out
-            value = self._rest.draw()
-        self.draws.append(value)
+            self.draws = (self._first,)
+            return self._first
+        if self._rest is None:
+            self._rest = TrialStream(self._seed, self._index)
+            self._rest.draw()  # the first draw, already handed out
+        value = self._rest.draw()
+        self.draws += (value,)
         return value
 
 
@@ -94,10 +94,14 @@ def record_trials(process: ObservationProcess, state: object, seed: int, trials:
     every i in range(trials), on a ``state`` already checked to be of the
     process's scenario."""
     kernel, process_id = process.kernel, process.id
+    # the record tuple built directly: the NamedTuple's own __new__ is a Python call
+    new_tuple = tuple.__new__
     records = []
     for start in range(0, trials, BLOCK):
         for i, r in enumerate(first_draws(seed, start, min(start + BLOCK, trials)).tolist(), start):
             rng = _PrimedStream(r, seed, i)
             outcome, post = kernel(state, rng)
-            records.append(ObservationRecord(process_id, state, outcome, post, tuple(rng.draws), i))
+            records.append(
+                new_tuple(ObservationRecord, (process_id, state, outcome, post, rng.draws, i))
+            )
     return records

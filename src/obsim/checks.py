@@ -93,7 +93,11 @@ def segment_prob_oracle(gamma: float, width: float) -> float:
 
     Gauss-Legendre quadrature on each piece between the band's ends and the
     landing point, where the integrand is smooth; it never reads the clamp
-    formula it checks."""
+    formula it checks. ``width`` must be in [1e-6, 1]: on a band only a few
+    floats wide the nodes round onto the piece ends and the rule is meaningless.
+    """
+    if not 1e-6 <= width <= 1.0:  # written so that a NaN width fails
+        raise ValueError(f"segment_prob_oracle: width must be in [1e-6, 1], got {width!r}")
     landing = 0.5 * (1.0 + math.cos(gamma))
     a, b = 0.5 - 0.5 * width, 0.5 + 0.5 * width
     density = 1.0 / width

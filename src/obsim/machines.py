@@ -197,9 +197,15 @@ def quantum_machine_process(apparatus: ElasticApparatus, id: str | None = None) 
     post_plus = SpherePoint(rho)
     post_minus = SpherePoint(minus_rho)
     yes_test = _yes_test(profile)
+    # the last state seen and its cos gamma, swapped as one tuple: every trial of a
+    # run and every replay of its records share one frozen state object
+    last = [(None, 0.0)]
 
     def kernel(state: SpherePoint, rng: DrawSource) -> tuple[Outcome, SpherePoint]:
-        c = _cos_between(state.direction, rho, minus_rho)
+        seen, c = last[0]
+        if state is not seen:
+            c = _cos_between(state.direction, rho, minus_rho)
+            last[0] = (state, c)
         if yes_test is None:
             yes = 0.5 * (1.0 + c) > profile.position
         else:

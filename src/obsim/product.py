@@ -12,6 +12,7 @@ the choice fell on floatability.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .core import (
     YES,
@@ -22,7 +23,7 @@ from .core import (
     pick_decision,
     PropertyDef,
 )
-from .randomness import DrawSource, pick
+from .randomness import DrawSource, RecordingStream, pick
 
 
 @dataclass(frozen=True)
@@ -51,15 +52,25 @@ class ProductObservation:
         return pick(rng.draw(), len(self.components))
 
 
+def _choose_and_run(
+    components: tuple[ObservationProcess, ...], state: object, rng: DrawSource
+) -> tuple[Outcome, object]:
+    """The product kernel: pick a component on one draw, run it, adopt its
+    outcome and post-state."""
+    chosen = components[pick(rng.draw(), len(components))]
+    chosen.check_scenario(state)
+    return chosen.kernel(state, rng)
+
+
 def product_observe(
     prod: ProductObservation, state: object, rng: DrawSource
 ) -> tuple[Outcome, object, str]:
     """Choose a component, run it, adopt its outcome; the chosen component id
     is returned for audit."""
-    chosen = prod.components[prod.choose(rng)]
-    chosen.check_scenario(state)
-    outcome, post = chosen.kernel(state, rng)
-    return outcome, post, chosen.id
+    recorder = RecordingStream(rng)
+    outcome, post = _choose_and_run(prod.components, state, recorder)
+    # the kernel picked the component on its first draw
+    return outcome, post, prod.components[pick(recorder.draws[0], len(prod.components))].id
 
 
 def product_analytic(prod: ProductObservation, state: object) -> float:
@@ -71,10 +82,6 @@ def product_process(prod: ProductObservation) -> ObservationProcess:
     """Expose a product as an ordinary ObservationProcess."""
     have_analytic = all(c.analytic is not None for c in prod.components)
     have_branches = all(c.branches is not None for c in prod.components)
-
-    def kernel(state, rng):
-        outcome, post, _ = product_observe(prod, state, rng)
-        return outcome, post
 
     def analytic(state):
         return product_analytic(prod, state)
@@ -96,7 +103,7 @@ def product_process(prod: ProductObservation) -> ObservationProcess:
     return ObservationProcess(
         id="product(" + ",".join(c.id for c in prod.components) + ")",
         scenario=prod.scenario,
-        kernel=kernel,
+        kernel=partial(_choose_and_run, prod.components),
         analytic=analytic if have_analytic else None,
         branches=branches if have_branches else None,
         posts_exact=all(c.posts_exact for c in prod.components),

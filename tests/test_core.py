@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -163,18 +164,36 @@ class TestObserve:
         _, _, record = observe(process, state, TrialStream(seed))
         assert verify_replay(process, record)
 
-    @pytest.mark.parametrize("process,state", [(MACHINE, sphere_point_at(1.0)), (COIN, DRY_INTACT)])
-    def test_tampered_records_fail_replay(self, process, state):
+    # the other states answer yes and no at every draw: the machine at both
+    # poles, the coin on ashes (each component answers there as it does not on dry wood)
+    @pytest.mark.parametrize("process,state,elsewhere", [
+        (MACHINE, sphere_point_at(1.0), (sphere_point_at(0.0), sphere_point_at(math.pi))),
+        (COIN, DRY_INTACT, (ASHES,)),
+    ])
+    def test_tampered_records_fail_replay(self, process, state, elsewhere):
         # the records of a run in blocks; both outcomes come up in 64 trials
         records = run_trials(process, state, 64, 5, collect_records=True).records
         assert {rec.outcome for rec in records} == {YES, NO}
         for rec in records:
+            other = next(s for s in elsewhere
+                         if process.kernel(s, SequenceStream(rec.draws))[0] is not rec.outcome)
+            # replayed after the true pre-state, so a kernel that keeps values
+            # of the last state it saw must notice the change
             assert verify_replay(process, rec)
+            assert not verify_replay(process, rec._replace(pre_state=other))
             flip = next(r for r in (0.0, 0.9)
                         if process.kernel(state, SequenceStream((r,)))[0] is not rec.outcome)
             assert not verify_replay(process, rec._replace(outcome=rec.outcome.inverted()))
             assert not verify_replay(process, rec._replace(draws=(flip,)))
             assert not verify_replay(process, rec._replace(post_state=state))
+
+    @pytest.mark.parametrize("process,state", ALL_PROCESS_STATES, ids=lambda v: str(v))
+    def test_equal_post_state_objects_replay(self, process, state):
+        # replay compares post-states by identity first, then by value
+        _, post, record = observe(process, state, TrialStream(11))
+        twin = dataclasses.replace(post)
+        assert twin is not post
+        assert verify_replay(process, record._replace(post_state=twin))
 
     def test_records_are_immutable_tuples(self):
         _, _, rec = observe(MACHINE, sphere_point_at(1.0), TrialStream(3), index=7)

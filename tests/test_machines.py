@@ -40,6 +40,12 @@ def quad_oracle(gamma, width):
     return quad(lambda x: 1.0 / width if x < landing else 0.0, a, b, points=pts, limit=200)[0]
 
 
+NORTH = SpherePoint(RHO)
+SOUTH = SpherePoint((0.0, 0.0, -1.0))
+EQUATOR = SpherePoint((1.0, 0.0, 0.0))  # cos gamma exactly 0
+A, B = sphere_point_at(0.3), sphere_point_at(2.8)  # yes and no at the draw 0.5
+
+
 def uniform_apparatus():
     return ElasticApparatus(RHO, 1.0, UniformBreak())
 
@@ -165,6 +171,19 @@ class TestSegmentProfile:
     def test_oracle_is_quad(self, width, gamma):
         assert abs(segment_prob_oracle(gamma, width) - quad_oracle(gamma, width)) <= 1e-12
 
+    @pytest.mark.parametrize("width", [0.0, 5e-309, 3e-16, 1e-15, math.nan, math.inf, 1.5])
+    def test_oracle_rejects_widths_it_cannot_integrate(self, width):
+        # a band a few floats wide puts the nodes on the piece ends (3e-16 gives
+        # 0.658 against 0.602 at pi / 2), and below about 5.6e-309 1 / width overflows
+        with pytest.raises(ValueError, match="width"):
+            segment_prob_oracle(PI / 2, width)
+
+    def test_oracle_at_its_narrowest_width(self):
+        for k in range(201):
+            gamma = k * PI / 200
+            formula = quantum_machine_prob(gamma, SegmentBreak(1e-6))
+            assert abs(formula - segment_prob_oracle(gamma, 1e-6)) <= 1e-9
+
     def test_interior_value_from_oracle(self):
         gamma = math.acos(0.25)
         assert segment_prob_oracle(gamma, 0.5) == pytest.approx(0.75, abs=1e-12)
@@ -205,6 +224,37 @@ class TestMachineKernel:
             outcome, post = process.kernel(state, TrialStream(9, i))
             assert outcome is NO
             assert post == SpherePoint((-0.0, -0.0, -1.0))
+
+    # the kernel keeps cos gamma of the last state object it saw; every call
+    # must still answer as a process that has seen no state before
+    @given(
+        profile=st.sampled_from([UniformBreak(), SegmentBreak(0.25), SegmentBreak(1e-310),
+                                 PointBreak(0.5), PointBreak(0.3)]),
+        calls=st.lists(st.tuples(
+            st.one_of(
+                st.sampled_from([NORTH, SOUTH, EQUATOR, A, B]),
+                # a new object on every call, equal to any other of its direction
+                st.sampled_from([RHO, (0.0, 0.0, -1.0), (1.0, 0.0, 0.0), A.direction])
+                .map(SpherePoint),
+                st.floats(min_value=0.0, max_value=PI).map(sphere_point_at),
+            ),
+            st.integers(0, 2**53 - 1).map(lambda k: k * 2.0**-53) | st.sampled_from([0.0, 0.5]),
+        ), min_size=1, max_size=8),
+    )
+    @example(profile=UniformBreak(), calls=[(A, 0.5), (B, 0.5), (A, 0.5)])
+    @example(profile=SegmentBreak(1e-310), calls=[(EQUATOR, 0.5 - 2.0**-53), (NORTH, 0.9),
+                                                  (SpherePoint((1.0, 0.0, 0.0)), 0.5)])
+    @example(profile=PointBreak(0.5), calls=[(NORTH, 0.5), (EQUATOR, 0.5), (SOUTH, 0.5),
+                                             (SpherePoint(RHO), 0.5)])
+    @settings(max_examples=300, deadline=None)
+    def test_kernel_answers_each_state_as_a_fresh_process(self, profile, calls):
+        process = quantum_machine_process(ElasticApparatus(RHO, 1.0, profile))
+        for state, r in calls:
+            fresh = quantum_machine_process(ElasticApparatus(RHO, 1.0, profile))
+            outcome, post = process.kernel(state, SequenceStream((r,)))
+            want_outcome, want_post = fresh.kernel(state, SequenceStream((r,)))
+            assert outcome is want_outcome
+            assert post.direction == want_post.direction
 
     def test_post_state_repeat_is_certain(self):
         process = quantum_machine_process(uniform_apparatus())
