@@ -12,6 +12,8 @@ from the block, so every record equals :func:`~obsim.core.observe`'s.
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 
 from .core import YES, FirstDraw, Kernel, ObservationProcess, ObservationRecord
@@ -66,15 +68,17 @@ def count_yes(decision: FirstDraw, kernel: Kernel, state: object, seed: int, tri
 
 
 class _PrimedStream:
-    """Trial ``index``'s stream with its first draw ``first`` taken from a block:
-    later draws come from TrialStream(seed, index), built only when the kernel
-    asks for one. ``draws`` is the tuple of every draw handed out."""
+    """Trial ``_index``'s stream with its first draw ``_first`` taken from a
+    block: later draws come from TrialStream(seed, _index), built only when
+    the kernel asks for one. ``draws`` is the tuple of every draw handed out.
+    :func:`record_trials` reuses one stream for a whole run and resets
+    ``_first``, ``_index``, ``draws`` and ``_rest`` before each trial."""
 
     __slots__ = ("draws", "_first", "_seed", "_index", "_rest")
 
-    def __init__(self, first: float, seed: int, index: int):
+    def __init__(self, seed: int):
         self.draws: tuple[float, ...] = ()
-        self._first, self._seed, self._index = first, seed, index
+        self._first, self._seed, self._index = 0.0, seed, 0
         self._rest = None
 
     def draw(self) -> float:
@@ -89,19 +93,33 @@ class _PrimedStream:
         return value
 
 
-def record_trials(process: ObservationProcess, state: object, seed: int, trials: int) -> list:
+def record_trials(
+    process: ObservationProcess, state: object, seed: int, trials: int
+) -> tuple[list, int]:
     """``observe(process, state, TrialStream(seed, i), index=i)``'s record for
     every i in range(trials), on a ``state`` already checked to be of the
-    process's scenario."""
+    process's scenario, and the number of yes outcomes among them."""
     kernel, process_id = process.kernel, process.id
     # the record tuple built directly: the NamedTuple's own __new__ is a Python call
     new_tuple = tuple.__new__
     records = []
-    for start in range(0, trials, BLOCK):
-        for i, r in enumerate(first_draws(seed, start, min(start + BLOCK, trials)).tolist(), start):
-            rng = _PrimedStream(r, seed, i)
-            outcome, post = kernel(state, rng)
-            records.append(
-                new_tuple(ObservationRecord, (process_id, state, outcome, post, rng.draws, i))
-            )
-    return records
+    append = records.append
+    yes = 0
+    rng = _PrimedStream(seed)
+    # The records are acyclic tuples over shared state objects, so the cyclic
+    # GC finds nothing to free in them; left on, it walks the growing list
+    # again and again (about a third of the collection time).
+    gc_was_on = gc.isenabled()
+    gc.disable()
+    try:
+        for start in range(0, trials, BLOCK):
+            for i, r in enumerate(first_draws(seed, start, min(start + BLOCK, trials)).tolist(), start):
+                rng._first, rng._index, rng.draws, rng._rest = r, i, (), None
+                outcome, post = kernel(state, rng)
+                if outcome is YES:
+                    yes += 1
+                append(new_tuple(ObservationRecord, (process_id, state, outcome, post, rng.draws, i)))
+    finally:
+        if gc_was_on:
+            gc.enable()
+    return records, yes

@@ -22,7 +22,7 @@ class Outcome(Enum):
     NO = "no"
 
     def inverted(self) -> "Outcome":
-        return Outcome.NO if self is Outcome.YES else Outcome.YES
+        return NO if self is YES else YES
 
 
 YES = Outcome.YES
@@ -192,11 +192,17 @@ def replay(process: ObservationProcess, record: ObservationRecord) -> tuple[Outc
 
 
 def verify_replay(process: ObservationProcess, record: ObservationRecord) -> bool:
-    """True when the recorded draws reproduce the recorded outcome and post-state."""
-    outcome, post = replay(process, record)
-    # identity first: many kernels return module-level post-states, and a
-    # dataclass __eq__ compares field by field even on the same object
-    return outcome is record.outcome and (post is record.post_state or post == record.post_state)
+    """True when the recorded draws reproduce the recorded outcome and
+    post-state and the kernel reads every one of them."""
+    _, pre_state, outcome, post_state, draws, _ = record
+    rng = SequenceStream(draws)
+    got, post = process.kernel(pre_state, rng)
+    # post-states by identity first: many kernels return module-level states,
+    # and a dataclass __eq__ compares field by field even on the same object;
+    # ``rng._pos`` is read for ``rng.remaining == 0``, whose property call
+    # alone would add 60-90 ns to each replay
+    return (got is outcome and (post is post_state or post == post_state)
+            and rng._pos == len(draws))
 
 
 def is_actual(prop: PropertyDef, state: object) -> bool:

@@ -144,9 +144,14 @@ def _deterministic_process(id: str, scenario: type, kernel, analytic) -> Observa
 
 # --- wood -------------------------------------------------------------------
 
+# the enum members as module globals: a class attribute lookup costs a few
+# times a global one, and the coin product runs these kernels per record
+_INTACT, _DRY = Integrity.INTACT, Moisture.DRY
+
+
 def _burnability_kernel(state: WoodState, rng: DrawSource) -> tuple[Outcome, WoodState]:
     # no draws
-    if state.integrity is Integrity.INTACT and state.moisture is Moisture.DRY:
+    if state.integrity is _INTACT and state.moisture is _DRY:
         return YES, ASHES  # only dry wood burns: ASHES has its moisture
     return NO, state
 
@@ -158,12 +163,12 @@ def _burnability_analytic(state: WoodState) -> float:
 
 def _non_burnability_kernel(state: WoodState, rng: DrawSource) -> tuple[Outcome, WoodState]:
     outcome, post = _burnability_kernel(state, rng)
-    return outcome.inverted(), post
+    return (NO if outcome is YES else YES), post
 
 
 def _floatability_kernel(state: WoodState, rng: DrawSource) -> tuple[Outcome, WoodState]:
     # no draws; an intact piece floats and comes out wet, ashes sink
-    if state.integrity is Integrity.INTACT:
+    if state.integrity is _INTACT:
         return YES, WET_INTACT
     return NO, state
 

@@ -97,8 +97,7 @@ def run_trials(
     if collect_records:
         from .blocks import record_trials  # numpy: only a run that records or counts in blocks
 
-        records = record_trials(process, initial_state, seed, trials)
-        yes = sum(rec.outcome is YES for rec in records)
+        records, yes = record_trials(process, initial_state, seed, trials)
     elif isinstance(decision, Outcome):
         yes = trials if decision is YES else 0
     elif decision is not None:

@@ -1,5 +1,7 @@
 """Block counts and records against the scalar kernel loop, bit for bit."""
 
+import contextlib
+import gc
 import math
 import os
 import subprocess
@@ -24,6 +26,7 @@ from obsim import (
     ElasticApparatus,
     ElasticBandState,
     LinePosition,
+    ObservationProcess,
     PointBreak,
     ProductObservation,
     SawtoothRuler,
@@ -33,6 +36,7 @@ from obsim import (
     SpherePoint,
     TrialStream,
     UniformBreak,
+    WoodState,
     observe,
     product_process,
     quantum_machine_process,
@@ -148,6 +152,9 @@ def test_block_count_is_the_kernel_loop(case, seed, block, full_blocks, edge):
 @example(case=(LEFT_HANDEDNESS, SUBNORMAL_BAND), seed=0, block=3, full_blocks=5, edge=1)
 @example(case=(LEFT_HANDEDNESS, SUBNORMAL_BAND), seed=2**64 - 1, block=16, full_blocks=2, edge=-1)
 @example(case=TOOTH_TIP, seed=2**64 - 1, block=7, full_blocks=2, edge=0)
+# trials 7 to 11 all draw again, in and across blocks of 2: one stream serves
+# the whole run, so each trial must start it afresh
+@example(case=(LEFT_HANDEDNESS, SUBNORMAL_BAND), seed=0, block=2, full_blocks=6, edge=0)
 @example(case=RECORD_CASES[-1], seed=0, block=1, full_blocks=stats.BLOCKS_FROM, edge=0)
 @settings(max_examples=300, deadline=None)
 def test_records_are_the_observe_loop(case, seed, block, full_blocks, edge):
@@ -159,6 +166,52 @@ def test_records_are_the_observe_loop(case, seed, block, full_blocks, edge):
     for got, want in zip(report.records, expected, strict=True):
         assert got == want
     assert report.yes == sum(rec.outcome is YES for rec in expected)
+
+
+@contextlib.contextmanager
+def collector(enabled):
+    """The cyclic GC on or off for the block, then as it was."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def gc_watching_process(fail_on=None):
+    """A one-draw wood process whose kernel notes whether the GC is on, and
+    raises on trial ``fail_on``."""
+    seen = []
+
+    def kernel(state, rng):
+        rng.draw()
+        if len(seen) == fail_on:
+            raise RuntimeError(f"trial {fail_on}")
+        seen.append(gc.isenabled())
+        return YES, state
+
+    return ObservationProcess("gc-watch", WoodState, kernel), seen
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_records_leave_the_collector_as_the_caller_had_it(enabled):
+    process, seen = gc_watching_process()
+    with collector(enabled):
+        report = run_trials(process, DRY_INTACT, 40, 0, collect_records=True)
+        assert gc.isenabled() is enabled
+    assert report.yes == len(report.records) == 40
+    assert seen == [False] * 40  # paused while the records are built
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_raising_kernel_leaves_the_collector_as_the_caller_had_it(enabled):
+    process, seen = gc_watching_process(fail_on=3)
+    with collector(enabled):
+        with pytest.raises(RuntimeError, match="trial 3"):
+            run_trials(process, DRY_INTACT, 40, 0, collect_records=True)
+        assert gc.isenabled() is enabled
+    assert seen == [False] * 3
 
 
 def test_short_runs_load_no_numpy():

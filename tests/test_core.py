@@ -186,6 +186,14 @@ class TestObserve:
             assert not verify_replay(process, rec._replace(outcome=rec.outcome.inverted()))
             assert not verify_replay(process, rec._replace(draws=(flip,)))
             assert not verify_replay(process, rec._replace(post_state=state))
+            # a record holds exactly the draws its observation read
+            assert not verify_replay(process, rec._replace(draws=rec.draws + (0.123, 0.456)))
+            with pytest.raises(RuntimeError, match="exhausted"):
+                verify_replay(process, rec._replace(draws=rec.draws[:-1]))
+        # burnability reads no draw at all
+        _, _, burnt = observe(BURNABILITY, DRY_INTACT, TrialStream(5))
+        assert burnt.draws == () and verify_replay(BURNABILITY, burnt)
+        assert not verify_replay(BURNABILITY, burnt._replace(draws=(0.5,)))
 
     @pytest.mark.parametrize("process,state", ALL_PROCESS_STATES, ids=lambda v: str(v))
     def test_equal_post_state_objects_replay(self, process, state):
