@@ -15,21 +15,17 @@ from dataclasses import dataclass
 from . import taxonomy
 from .core import YES, is_actual, PropertyDef
 from .exemplars import (
-    BURNABILITY,
-    DRY_INTACT,
-    FLOATABILITY,
     FRAGMENTATION,
     INCOMPRESSIBILITY,
     LEFT_HANDEDNESS,
-    NON_BURNABILITY,
     ElasticBandState,
     SolidState,
     break_trajectory,
 )
-from .machines import SegmentBreak, UniformBreak, machine_points, quantum_machine_prob
-from .product import ProductObservation, meet_actual, product_process
+from .machines import SegmentBreak, UniformBreak, machine_sweep, quantum_machine_prob
+from .product import wood_product_sweep
 from .randomness import TrialStream, substream_seed
-from .stats import run_trials, sweep
+from .stats import run_trials
 from .taxonomy import taxonomy_table
 
 ACCEPTANCE_SEED = 42
@@ -56,8 +52,7 @@ def check_uniform_curve(seed: int = ACCEPTANCE_SEED, trials: int = 100_000) -> C
     form (1 + cos gamma)/2 on the eight canonical angles; exact at 0 and pi."""
     failures: list[str] = []
     t0 = time.perf_counter()
-    points = machine_points(UniformBreak(), _EQ1_GAMMAS)
-    for gamma, report in zip(_EQ1_GAMMAS, sweep(points, trials, seed)):
+    for _, gamma, report in machine_sweep([None], _EQ1_GAMMAS, trials, seed):
         p = quantum_machine_prob(gamma, UniformBreak())
         if p in (0.0, 1.0):
             if report.yes != int(p) * trials:
@@ -125,16 +120,13 @@ def check_segment_regime_map(
     gammas = [k * _PI / (grid_points - 1) for k in range(grid_points)]
     failures: list[str] = []
 
-    labels, points = [], []
     for width in widths:
         for gamma in gammas:
             formula = quantum_machine_prob(gamma, SegmentBreak(width))
             if abs(formula - segment_prob_oracle(gamma, width)) > 1e-9:
                 failures.append(f"oracle mismatch at gamma={gamma:.4f}, eps={width}")
-        labels += [(width, gamma) for gamma in gammas]
-        points += machine_points(SegmentBreak(width), gammas)
 
-    for (width, gamma), report in zip(labels, sweep(points, trials, seed)):
+    for width, gamma, report in machine_sweep(widths, gammas, trials, seed):
         c = math.cos(gamma)
         expected = quantum_machine_prob(gamma, SegmentBreak(width))
         if abs(c) > width:
@@ -170,20 +162,17 @@ def check_product_choice_theorem(seed: int = ACCEPTANCE_SEED, trials: int = 10_0
     actual although each chosen component is individually deterministic."""
     failures: list[str] = []
 
-    certain = ProductObservation((BURNABILITY, FLOATABILITY))
-    coin = ProductObservation((NON_BURNABILITY, FLOATABILITY))
-    sure, report = sweep([(product_process(certain), DRY_INTACT),
-                          (product_process(coin), DRY_INTACT)], trials, seed)
+    (_, sure, certain_meet), (_, report, coin_meet) = wood_product_sweep(trials, seed)
     if sure.yes != trials:
         failures.append(f"burnability*floatability: {sure.yes}/{trials} yes, expected all")
-    if not meet_actual(certain, DRY_INTACT):
+    if not certain_meet:
         failures.append("burnability*floatability meet should be actual")
 
     low, high = report.wilson_low, report.wilson_high
     if not (low <= 0.5 <= high):
         failures.append(f"non-burnability*floatability: 0.5 outside Wilson 99% "
                         f"[{low:.4f}, {high:.4f}]")
-    if meet_actual(coin, DRY_INTACT):
+    if coin_meet:
         failures.append("non-burnability*floatability meet should not be actual")
 
     return _result(

@@ -14,19 +14,12 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
-from . import __version__, checks, taxonomy
-from .exemplars import (
-    BURNABILITY,
-    DRY_INTACT,
-    FLOATABILITY,
-    NON_BURNABILITY,
-    break_trajectory,
-)
-from .machines import SegmentBreak, UniformBreak, machine_points
-from .product import ProductObservation, meet_actual, product_process
-from .stats import sweep
+from . import __version__, checks
+from .exemplars import break_trajectory
+from .machines import machine_sweep
+from .product import wood_product_sweep
 from .taxonomy import default_suite, taxonomy_table
 
 SCENARIOS = ("quantum-machine", "epsilon-sweep", "wood-product", "elastic", "classify", "all")
@@ -128,7 +121,7 @@ def parse_config_file(path: Path) -> dict:
     """Flat ``key = value`` lines; # starts a comment; keys match long flags."""
     values: dict = {}
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
     except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read --config {path}: {err}") from err
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -177,7 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         f"at most {_MAX_GAMMA_GRID}")
         sp.add_argument("--epsilon", type=float, action="append", default=None,
                         help=f"segment width in [0, 1]; repeatable, at most {_MAX_EPSILONS} "
-                        "times, as each (width, angle) pair is a row held in memory")
+                        "times, as the sweep keeps a report per (width, angle) pair in memory")
         sp.add_argument("--out", type=str, default=None, help="output path (stdout if omitted)")
         sp.add_argument("--format", choices=("csv", "json"), default=None)
         sp.add_argument("--check", action="store_true",
@@ -260,43 +253,36 @@ def _bundle_file(cfg: dict, name: str) -> Path:
     return cfg["out"] / f"{name.replace('-', '_')}.{cfg['format']}"
 
 
-def _machine_rows(cfg: dict, widths: Optional[Sequence[float]]) -> list[tuple]:
+def _machine_rows(cfg: dict, widths: Optional[Sequence[float]]) -> Iterator[tuple]:
     """Shared by the quantum-machine and epsilon-sweep scenarios; a width of
-    None means the uniform band (reported as epsilon 1, its exact equivalent)."""
+    None means the uniform band (reported as epsilon 1, its exact equivalent).
+    The sweep runs here; its rows are made as the emitter reads them."""
     n = cfg["gamma_grid"]
     step = math.pi / (n - 1)
     gammas = [k * step for k in range(n - 1)] + [math.pi]
-    labels, points = [], []
-    for width in widths if widths is not None else [None]:
-        labels += [(g, 1.0 if width is None else width) for g in gammas]
-        points += machine_points(UniformBreak() if width is None else SegmentBreak(width), gammas)
-    return [
-        (gamma, eps, report.analytic, report.p_hat, report.yes, report.trials,
-         report.wilson_low, report.wilson_high, report.seed)
-        for (gamma, eps), report in zip(labels, sweep(points, cfg["trials"], cfg["seed"]))
-    ]
+    grid = machine_sweep(widths if widths is not None else [None], gammas,
+                         cfg["trials"], cfg["seed"])
+    return (
+        (gamma, 1.0 if width is None else width, report.analytic, report.p_hat, report.yes,
+         report.trials, report.wilson_low, report.wilson_high, report.seed)
+        for width, gamma, report in grid
+    )
 
 
-def _scenario_quantum_machine(cfg: dict) -> tuple[tuple, list[tuple]]:
+def _scenario_quantum_machine(cfg: dict) -> tuple[tuple, Iterable[tuple]]:
     return QM_HEADER, _machine_rows(cfg, cfg["epsilon"])
 
 
-def _scenario_epsilon_sweep(cfg: dict) -> tuple[tuple, list[tuple]]:
+def _scenario_epsilon_sweep(cfg: dict) -> tuple[tuple, Iterable[tuple]]:
     eps = cfg["epsilon"] if cfg["epsilon"] is not None else list(_DEFAULT_EPSILONS)
     return QM_HEADER, _machine_rows(cfg, eps)
 
 
 def _scenario_wood_product(cfg: dict) -> tuple[tuple, list[tuple]]:
-    products = (
-        ProductObservation((BURNABILITY, FLOATABILITY)),
-        ProductObservation((NON_BURNABILITY, FLOATABILITY)),
-    )
-    processes = [product_process(prod) for prod in products]
-    reports = sweep([(process, DRY_INTACT) for process in processes], cfg["trials"], cfg["seed"])
     return WOOD_HEADER, [
         (process.id, report.trials, report.yes, report.p_hat, report.analytic,
-         report.wilson_low, report.wilson_high, meet_actual(prod, DRY_INTACT), report.seed)
-        for prod, process, report in zip(products, processes, reports)
+         report.wilson_low, report.wilson_high, meet, report.seed)
+        for process, report, meet in wood_product_sweep(cfg["trials"], cfg["seed"])
     ]
 
 
@@ -332,7 +318,7 @@ _SCENARIO_RUNNERS = {
 }
 
 
-def _emit(cfg: dict, scenario: str, header: tuple, rows: list, out: Optional[Path]) -> None:
+def _emit(cfg: dict, scenario: str, header: tuple, rows: Iterable, out: Optional[Path]) -> None:
     if cfg["format"] == "json":
         meta = {
             "scenario": scenario,

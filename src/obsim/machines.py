@@ -28,12 +28,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .core import (
     NO, YES, Branch, FirstDraw, ObservationProcess, Outcome, ScenarioMismatchError, yes_no_branches,
 )
 from .randomness import DrawSource, SequenceStream, pick
+from .stats import TrialReport, sweep
 
 _NORM_TOL = 1e-9
 
@@ -235,11 +236,16 @@ def quantum_machine_process(apparatus: ElasticApparatus, id: str | None = None) 
     )
 
 
-def machine_points(profile: BreakageProfile, gammas) -> list[tuple[ObservationProcess, SpherePoint]]:
-    """(process, state) pairs for :func:`stats.sweep`: the standard machine, a
-    unit-length band along +z with ``profile``, at each angle of ``gammas``."""
-    process = quantum_machine_process(ElasticApparatus((0.0, 0.0, 1.0), 1.0, profile))
-    return [(process, sphere_point_at(g)) for g in gammas]
+def machine_sweep(
+    widths: Sequence[Optional[float]], gammas: Sequence[float], trials: int, seed: int
+) -> Iterator[tuple[Optional[float], float, TrialReport]]:
+    """(width, gamma, report) for the standard machine, a unit-length band along
+    +z, at each width (None: the uniform band) and angle, width by width, from
+    one :func:`stats.sweep`, so pair k runs at substream_seed(seed, k)."""
+    bands = [quantum_machine_process(ElasticApparatus(
+        (0.0, 0.0, 1.0), 1.0, UniformBreak() if w is None else SegmentBreak(w))) for w in widths]
+    reports = iter(sweep([(p, sphere_point_at(g)) for p in bands for g in gammas], trials, seed))
+    return ((w, g, next(reports)) for w in widths for g in gammas)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,9 @@ from .core import (
     pick_decision,
     PropertyDef,
 )
+from .exemplars import BURNABILITY, DRY_INTACT, FLOATABILITY, NON_BURNABILITY
 from .randomness import DrawSource, RecordingStream, pick
+from .stats import TrialReport, sweep
 
 
 @dataclass(frozen=True)
@@ -117,3 +119,16 @@ def meet_actual(prod: ProductObservation, state: object) -> bool:
     # a list, not a generator: every component must have an analytic, even
     # after one has already answered no
     return all([is_actual(PropertyDef(comp.id, comp), state) for comp in prod.components])
+
+
+def wood_product_sweep(
+    trials: int, seed: int
+) -> tuple[tuple[ObservationProcess, TrialReport, bool], ...]:
+    """(process, report, meet actual) on fresh dry intact wood, from one
+    :func:`stats.sweep`: burnability*floatability, then non-burnability*floatability."""
+    products = (ProductObservation((BURNABILITY, FLOATABILITY)),
+                ProductObservation((NON_BURNABILITY, FLOATABILITY)))
+    processes = [product_process(prod) for prod in products]
+    reports = sweep([(process, DRY_INTACT) for process in processes], trials, seed)
+    return tuple((process, report, meet_actual(prod, DRY_INTACT))
+                 for prod, process, report in zip(products, processes, reports))

@@ -46,19 +46,16 @@ def wilson_interval(yes: int, trials: int, confidence: float) -> tuple[float, fl
     return low, high
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialReport:
     """Exact counts plus derived estimates for one batch of trials."""
 
-    process_id: str
-    state: str
     trials: int
     yes: int
     p_hat: float
     wilson_low: float
     wilson_high: float
     analytic: Optional[float]
-    z_score: Optional[float]
     seed: int
     records: Optional[tuple] = None
 
@@ -109,11 +106,8 @@ def run_trials(
 
     p_hat = yes / trials
     low, high = wilson_interval(yes, trials, 0.99)
-    z = None
-    if analytic is not None and 0.0 < analytic < 1.0:
-        z = (p_hat - analytic) / math.sqrt(analytic * (1.0 - analytic) / trials)
     return TrialReport(
-        process.id, str(initial_state), trials, yes, p_hat, low, high, analytic, z, seed,
+        trials, yes, p_hat, low, high, analytic, seed,
         tuple(records) if records is not None else None,
     )
 

@@ -420,6 +420,17 @@ class TestConfigFile:
         assert f"{config}:{line}:" in err and key in err
         assert "Traceback" not in err
 
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        text = "trials = 50\nseed = 7\ngamma-grid = 3\nepsilon = 0.5\n"
+        outs = []
+        for name, data in (("plain", text.encode("utf-8")),
+                           ("bom", b"\xef\xbb\xbf" + text.encode("utf-8"))):
+            config, out = tmp_path / f"{name}.cfg", tmp_path / f"{name}.csv"
+            config.write_bytes(data)
+            assert run("epsilon-sweep", "--config", str(config), "--out", str(out)) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_epsilon_list_in_config(self, tmp_path):
         config = tmp_path / "eps.cfg"
         config.write_text("epsilon = 0.25, 0.75\ntrials = 100\ngamma-grid = 3\n")

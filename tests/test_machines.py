@@ -21,9 +21,11 @@ from obsim import (
     sawtooth_observe,
     sawtooth_position_process,
     sphere_point_at,
+    substream_seed,
 )
 from obsim.checks import segment_prob_oracle
 from obsim.core import NO, YES
+from obsim.machines import machine_sweep
 
 PI = math.pi
 RHO = (0.0, 0.0, 1.0)
@@ -206,6 +208,23 @@ class TestSegmentProfile:
         state = sphere_point_at(gamma)
         outcomes = {process.kernel(state, TrialStream(5, i))[0] for i in range(2000)}
         assert outcomes == {YES}
+
+
+class TestMachineSweep:
+    @pytest.mark.parametrize("trials", [3, 40])
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_is_a_width_major_loop_of_run_trials(self, trials, seed):
+        # pair k of the grid, counted width by width, runs at substream_seed(seed, k):
+        # the machine checks' pinned-seed inputs depend on this order
+        widths = (None, 0.0, 1e-310, 1.0)
+        gammas = (0.0, 1.0, PI / 2, 2.5, PI)
+        expected = []
+        for k, (width, gamma) in enumerate((w, g) for w in widths for g in gammas):
+            profile = UniformBreak() if width is None else SegmentBreak(width)
+            process = quantum_machine_process(ElasticApparatus(RHO, 1.0, profile))
+            report = run_trials(process, sphere_point_at(gamma), trials, substream_seed(seed, k))
+            expected.append((width, gamma, report))
+        assert list(machine_sweep(widths, gammas, trials, seed)) == expected
 
 
 class TestMachineKernel:

@@ -125,7 +125,6 @@ class TestRunTrials:
     def test_machine_at_right_angle(self):
         report = run_trials(MACHINE, sphere_point_at(math.pi / 2), 100_000, seed=6)
         assert abs(report.p_hat - 0.5) <= 4 * math.sqrt(0.25 / 100_000)
-        assert report.z_score is not None and abs(report.z_score) <= 4
 
     def test_seed_determinism_across_workers(self):
         state = sphere_point_at(1.0)
@@ -208,7 +207,9 @@ class TestSweep:
         ]
         stat, dof, p_value = chi_square_against_analytic(reports)
         assert dof == 3
-        assert stat == pytest.approx(math.fsum(r.z_score**2 for r in reports), rel=1e-12)
+        z_scores = [(r.p_hat - r.analytic) / math.sqrt(r.analytic * (1.0 - r.analytic) / r.trials)
+                    for r in reports]
+        assert stat == pytest.approx(math.fsum(z * z for z in z_scores), rel=1e-12)
         assert 0.0 <= p_value <= 1.0
 
 
