@@ -21,9 +21,6 @@ class Outcome(Enum):
     YES = "yes"
     NO = "no"
 
-    def inverted(self) -> "Outcome":
-        return NO if self is YES else YES
-
 
 YES = Outcome.YES
 NO = Outcome.NO

@@ -380,6 +380,40 @@ def test_rows_failing_mid_write_leave_the_old_file(tmp_path, monkeypatch, capsys
     assert [p.name for p in tmp_path.iterdir()] == [out.name]
 
 
+def test_json_rows_are_written_before_the_next_is_drawn():
+    meta = {"scenario": "x", "seed": 1, "trials": 4, "version": "0"}
+    header = ("step", "x", "s")
+    table = [(k, k / 4, "γ" * k) for k in range(4)]  # floats that .9g leaves exact
+    drawn = 0
+    writes = []  # (rows drawn so far, text) for every write
+
+    class Recorder:
+        def write(self, text):
+            writes.append((drawn, text))
+
+    def rows():
+        nonlocal drawn
+        for row in table:
+            drawn += 1
+            yield row
+
+    with contextlib.redirect_stdout(Recorder()):
+        emit_json(None, meta, header, rows())
+    assert "".join(text for _, text in writes) == _reference_json(meta, header, table)
+    for k, row in enumerate(table):
+        row_text = json.dumps(dict(zip(header, row)), indent=2, sort_keys=True)
+        before_next = "".join(text for n, text in writes if n == k + 1)
+        assert "\n    " + row_text.replace("\n", "\n    ") in before_next
+
+
+@pytest.mark.parametrize("scenario", sorted(cli._SCENARIO_RUNNERS))
+def test_every_scenario_yields_its_rows_lazily(scenario):
+    args = cli._build_parser().parse_args([scenario, "--trials", "3", "--gamma-grid", "2"])
+    header, rows = cli._SCENARIO_RUNNERS[scenario](cli._merge_config(args))
+    assert iter(rows) is rows and not isinstance(rows, (list, tuple))
+    assert all(len(row) == len(header) for row in rows)
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_flags_override(self, tmp_path):
         config = tmp_path / "run.cfg"

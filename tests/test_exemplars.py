@@ -21,7 +21,6 @@ from obsim import (
     SequenceStream,
     SolidState,
     TrialStream,
-    WoodState,
     break_trajectory,
 )
 from obsim.core import NO, YES

@@ -20,7 +20,7 @@ from obsim import (
     product_process,
     run_trials,
 )
-from obsim.core import NO, YES, NotDecidableError, ObservationProcess, ScenarioMismatchError
+from obsim.core import YES, NotDecidableError, ObservationProcess, ScenarioMismatchError
 
 WOOD_STATES = (DRY_INTACT, WET_INTACT, ASHES)
 

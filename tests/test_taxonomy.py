@@ -21,7 +21,6 @@ from obsim import (
     SegmentBreak,
     SolidState,
     StateProbe,
-    TrialStream,
     UniformBreak,
     classify,
     classify_persistence,
