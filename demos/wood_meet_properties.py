@@ -38,7 +38,7 @@ report = run_trials(product_process(coin), DRY_INTACT, trials, seed)
 deterministic = {c.id: c.analytic_prob(DRY_INTACT) in (0.0, 1.0) for c in coin.components}
 choices = {c.id: 0 for c in coin.components}
 for i in range(trials):  # trial i chose with the first draw of its stream
-    choices[coin.components[coin.choose(TrialStream(seed, i))].id] += 1
+    choices[product_observe(coin, DRY_INTACT, TrialStream(seed, i))[2]] += 1
 print(f"  meet actual in advance: {meet_actual(coin, DRY_INTACT)}")
 print(f"  each chosen test individually deterministic: {deterministic}")
 print(f"  empirical yes-frequency: {report.p_hat:.4f} (analytic {report.analytic})")

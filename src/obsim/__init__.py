@@ -23,7 +23,6 @@ from .core import (
     is_actual,
     observe,
     repeat_probabilities,
-    repeat_yes_certain,
     replay,
     verify_replay,
 )
@@ -57,7 +56,6 @@ from .machines import (
     UniformBreak,
     quantum_machine_prob,
     quantum_machine_process,
-    sawtooth_observe,
     sawtooth_position_process,
     sphere_point_at,
 )

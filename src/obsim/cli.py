@@ -1,8 +1,9 @@
 """Command-line front end: run named scenarios, emit CSV or JSON reports.
 
-Exit codes: 0 success, 2 configuration error, 3 statistical acceptance
-failure under --check. Flags override values from an optional flat
-key = value config file. All angles are radians.
+Exit codes: 0 success, 1 stdout closed early by its reader, 2 configuration
+error or a failed write, 3 statistical acceptance failure under --check.
+Flags override values from an optional flat key = value config file. All
+angles are radians.
 """
 
 from __future__ import annotations
@@ -111,7 +112,16 @@ def _write_to(out: Optional[Path], write: Callable[[TextIO], None]) -> None:
     no half-written file: a new or regular file is written to a temp file
     and renamed into place; a device, FIFO or symlink is written through."""
     if out is None:
-        write(sys.stdout)
+        try:
+            write(sys.stdout)
+            sys.stdout.flush()
+        except OSError as err:
+            # point stdout at devnull, so the interpreter's last flush of what
+            # is still buffered cannot fail again (the Python docs' SIGPIPE note)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if isinstance(err, BrokenPipeError):
+                sys.exit(1)
+            raise ConfigError(f"cannot write stdout: {err}") from err
         return
     atomic = not out.is_symlink() and (out.is_file() or not out.exists())
     tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp") if atomic else out

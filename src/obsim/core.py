@@ -195,9 +195,7 @@ def verify_replay(process: ObservationProcess, record: ObservationRecord) -> boo
     rng = SequenceStream(draws)
     got, post = process.kernel(pre_state, rng)
     # post-states by identity first: many kernels return module-level states,
-    # and a dataclass __eq__ compares field by field even on the same object;
-    # ``rng._pos`` is read for ``rng.remaining == 0``, whose property call
-    # alone would add 60-90 ns to each replay
+    # and a dataclass __eq__ compares field by field even on the same object
     return (got is outcome and (post is post_state or post == post_state)
             and rng._pos == len(draws))
 
@@ -226,9 +224,3 @@ def repeat_probabilities(process: ObservationProcess, state: object) -> tuple[fl
         f"process {process.id!r}: yes-post-state family is not enumerable and no "
         "analytic repeat answer is declared"
     )
-
-
-def repeat_yes_certain(process: ObservationProcess, state: object) -> bool:
-    """True when every state reachable via a yes outcome would again answer
-    yes with certainty. Vacuously true when yes is unreachable."""
-    return all(p == 1.0 for p in repeat_probabilities(process, state))

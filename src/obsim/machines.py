@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
 from .core import (
-    NO, YES, Branch, FirstDraw, ObservationProcess, Outcome, ScenarioMismatchError, yes_no_branches,
+    NO, YES, Branch, FirstDraw, ObservationProcess, Outcome, yes_no_branches,
 )
 from .randomness import DrawSource, SequenceStream, pick
 from .stats import TrialReport, sweep
@@ -290,27 +290,18 @@ def _snap(ruler: SawtoothRuler, x: float) -> tuple[tuple[int, float], ...]:
     return ((base + 1 if frac > 0.5 else base, 1.0),)
 
 
-def sawtooth_observe(
-    state: LinePosition, ruler: SawtoothRuler, rng: DrawSource
-) -> tuple[int, LinePosition]:
-    """Snap the particle into the nearest cavity; returns (cavity index,
-    post-state at its center). Exactly midway (a tooth tip) a single fair
-    draw picks either neighbour; otherwise no draws are consumed."""
-    if not isinstance(state, LinePosition):
-        raise ScenarioMismatchError(f"sawtooth acts on LinePosition, got {type(state).__name__}")
-    cavities = _snap(ruler, state.x)
-    k = cavities[pick(rng.draw(), 2) if len(cavities) == 2 else 0][0]
-    return k, LinePosition(ruler.center(k))
-
-
 def sawtooth_position_process(
     ruler: SawtoothRuler, target: int, id: str | None = None
 ) -> ObservationProcess:
     """Yes/no wrapper: did the particle snap into cavity ``target``?"""
 
     def kernel(state: LinePosition, rng: DrawSource) -> tuple[Outcome, LinePosition]:
-        k, post = sawtooth_observe(state, ruler, rng)
-        return (YES if k == target else NO), post
+        # snap into the nearest cavity, post-state at its center; exactly
+        # midway (a tooth tip) one fair draw picks either neighbour, otherwise
+        # no draw is taken
+        cavities = _snap(ruler, state.x)
+        k = cavities[pick(rng.draw(), 2) if len(cavities) == 2 else 0][0]
+        return (YES if k == target else NO), LinePosition(ruler.center(k))
 
     def analytic(state: LinePosition) -> float:
         return sum((p for k, p in _snap(ruler, state.x) if k == target), 0.0)

@@ -49,10 +49,6 @@ class ProductObservation:
     def scenario(self) -> type:
         return self.components[0].scenario
 
-    def choose(self, rng: DrawSource) -> int:
-        """Draw a component index uniformly (one draw)."""
-        return pick(rng.draw(), len(self.components))
-
 
 def _choose_and_run(
     components: tuple[ObservationProcess, ...], state: object, rng: DrawSource

@@ -92,10 +92,6 @@ class SequenceStream:
         self._pos += 1
         return value
 
-    @property
-    def remaining(self) -> int:
-        return len(self._draws) - self._pos
-
 
 class RecordingStream:
     """Wraps another stream and records every draw it hands out."""

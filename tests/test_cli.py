@@ -380,6 +380,42 @@ def test_rows_failing_mid_write_leave_the_old_file(tmp_path, monkeypatch, capsys
     assert [p.name for p in tmp_path.iterdir()] == [out.name]
 
 
+def _obsim_child(stdout, *argv):
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.Popen([sys.executable, "-m", "obsim.cli", *argv], stdout=stdout,
+                            stderr=subprocess.PIPE, text=True, env=env)
+
+
+def test_reader_closing_stdout_early_exits_1_without_a_traceback():
+    # 100 000 breaks are megabytes of rows, so each child is still writing when
+    # its reader leaves after the first line; the two formats run side by side
+    children = {fmt: _obsim_child(subprocess.PIPE, "elastic", "--trials", "100000",
+                                  "--format", fmt) for fmt in ("csv", "json")}
+    first_lines = {}
+    for fmt, child in children.items():
+        first_lines[fmt] = child.stdout.readline()
+        child.stdout.close()
+    assert first_lines == {"csv": ",".join(ELASTIC_HEADER) + "\n", "json": "{\n"}
+    for child in children.values():
+        assert child.wait(timeout=60) == 1
+        assert child.stderr.read() == ""  # no traceback, no message
+        child.stderr.close()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_stdout_write_exits_2_naming_stdout():
+    with open("/dev/full", "w") as full:
+        children = [_obsim_child(full, "elastic", "--trials", "10", "--format", fmt)
+                    for fmt in ("csv", "json")]
+        for child in children:
+            assert child.wait(timeout=60) == 2
+            err = child.stderr.read()
+            child.stderr.close()
+            assert "Traceback" not in err
+            assert "error: cannot write stdout" in err
+
+
 def test_json_rows_are_written_before_the_next_is_drawn():
     meta = {"scenario": "x", "seed": 1, "trials": 4, "version": "0"}
     header = ("step", "x", "s")
@@ -390,6 +426,9 @@ def test_json_rows_are_written_before_the_next_is_drawn():
     class Recorder:
         def write(self, text):
             writes.append((drawn, text))
+
+        def flush(self):  # stdout is flushed once the report is written
+            pass
 
     def rows():
         nonlocal drawn

@@ -36,7 +36,7 @@ from obsim import (
     observe,
     product_process,
     quantum_machine_process,
-    repeat_yes_certain,
+    repeat_probabilities,
     run_trials,
     sphere_point_at,
     verify_replay,
@@ -240,26 +240,26 @@ class TestActuality:
 class TestRepeatYesCertain:
     def test_compacted_solid_vacuously_certain(self):
         # a solid the press would squeeze beyond 1% cannot answer yes at all,
-        # and after the press it passes with certainty
-        assert repeat_yes_certain(INCOMPRESSIBILITY, SolidState(1.0, 0.05))
+        # so no yes-post-state is reachable
+        assert repeat_probabilities(INCOMPRESSIBILITY, SolidState(1.0, 0.05)) == ()
 
     def test_left_handedness_must_be_recreated(self):
-        assert not repeat_yes_certain(LEFT_HANDEDNESS, ElasticBandState.unbroken(1.0))
-        assert not repeat_yes_certain(LEFT_HANDEDNESS, ElasticBandState((0.6, 0.4), 1.0))
+        assert repeat_probabilities(LEFT_HANDEDNESS, ElasticBandState.unbroken(1.0)) == (0.5,)
+        assert repeat_probabilities(LEFT_HANDEDNESS, ElasticBandState((0.6, 0.4), 1.0)) == (0.5,)
 
     def test_floatability_stays_certain(self):
-        assert repeat_yes_certain(FLOATABILITY, DRY_INTACT)
-        assert repeat_yes_certain(FLOATABILITY, WET_INTACT)
+        assert repeat_probabilities(FLOATABILITY, DRY_INTACT) == (1.0,)
+        assert repeat_probabilities(FLOATABILITY, WET_INTACT) == (1.0,)
 
     def test_machine_endpoint_stays_certain(self):
-        assert repeat_yes_certain(MACHINE, sphere_point_at(math.pi / 3))
+        assert repeat_probabilities(MACHINE, sphere_point_at(math.pi / 3)) == (1.0,)
 
     def test_not_decidable_without_enumeration(self):
         opaque = ObservationProcess(
             "opaque", WoodState, BURNABILITY.kernel, analytic=BURNABILITY.analytic
         )
         with pytest.raises(NotDecidableError):
-            repeat_yes_certain(opaque, DRY_INTACT)
+            repeat_probabilities(opaque, DRY_INTACT)
         bare = ObservationProcess("bare", WoodState, BURNABILITY.kernel)
         with pytest.raises(NotDecidableError):
-            repeat_yes_certain(bare, DRY_INTACT)
+            repeat_probabilities(bare, DRY_INTACT)

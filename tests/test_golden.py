@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obsim import (
+    DRY_INTACT,
     FLOATABILITY,
     FRAGMENTATION,
     NON_BURNABILITY,
@@ -25,6 +26,7 @@ from obsim import (
     ProductObservation,
     SequenceStream,
     TrialStream,
+    product_observe,
 )
 from obsim import cli
 
@@ -128,16 +130,21 @@ def test_checks_and_demos_run_without_scipy(tmp_path):
 COIN = ProductObservation((NON_BURNABILITY, FLOATABILITY))
 
 
+def chosen(rng):
+    # neither component draws on dry intact wood: the choice is the one draw
+    return product_observe(COIN, DRY_INTACT, rng)[2]
+
+
 @given(r=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
 @settings(max_examples=300, deadline=None)
 def test_two_component_choice_splits_at_one_half(r):
-    assert COIN.choose(SequenceStream([r])) == (0 if r < 0.5 else 1)
+    assert chosen(SequenceStream([r])) == ("non-burnability" if r < 0.5 else "floatability")
 
 
 def test_two_component_choice_boundary_draws():
     below, above = 0.5 - 2.0**-54, 1.0 - 2.0**-53
     for r, expected in ((0.0, 0), (below, 0), (0.5, 1), (above, 1)):
-        assert COIN.choose(SequenceStream([r])) == expected
+        assert chosen(SequenceStream([r])) == COIN.components[expected].id
 
 
 @given(seed=st.integers(min_value=0, max_value=2**64 - 1),
@@ -148,4 +155,4 @@ def test_fragment_pick_and_product_choice_agree(seed, index):
     # fragmentation test answers yes exactly when the pick fell on index 0
     band = ElasticBandState((0.3, 0.7), 1.0)
     outcome, _post = FRAGMENTATION.kernel(band, TrialStream(seed, index))
-    assert (outcome is YES) == (COIN.choose(TrialStream(seed, index)) == 0)
+    assert (outcome is YES) == (chosen(TrialStream(seed, index)) == "non-burnability")

@@ -8,17 +8,19 @@ from obsim import (
     ElasticApparatus,
     LinePosition,
     PointBreak,
+    RecordingStream,
     SawtoothRuler,
+    ScenarioMismatchError,
     SegmentBreak,
     SequenceStream,
     SolidState,
     SpherePoint,
     TrialStream,
     UniformBreak,
+    observe,
     quantum_machine_prob,
     quantum_machine_process,
     run_trials,
-    sawtooth_observe,
     sawtooth_position_process,
     sphere_point_at,
     substream_seed,
@@ -337,42 +339,54 @@ class TestMachineKernel:
 
 class TestSawtooth:
     def test_nearest_cavity(self):
-        ruler = SawtoothRuler(pitch=1.0, offset=0.0)
-        k, post = sawtooth_observe(LinePosition(0.3), ruler, SequenceStream(()))
-        assert k == 0
+        snap = sawtooth_position_process(SawtoothRuler(pitch=1.0, offset=0.0), target=0).kernel
+        outcome, post = snap(LinePosition(0.3), SequenceStream(()))
+        assert outcome is YES
         assert post == LinePosition(0.0)
 
     def test_at_center_is_fixed_point(self):
-        ruler = SawtoothRuler(pitch=1.0, offset=0.0)
-        k, post = sawtooth_observe(LinePosition(2.0), ruler, SequenceStream(()))
-        assert k == 2
+        snap = sawtooth_position_process(SawtoothRuler(pitch=1.0, offset=0.0), target=2).kernel
+        outcome, post = snap(LinePosition(2.0), SequenceStream(()))
+        assert outcome is YES
         assert post == LinePosition(2.0)
 
     def test_offset_and_pitch(self):
         ruler = SawtoothRuler(pitch=0.5, offset=0.2)
-        k, post = sawtooth_observe(LinePosition(0.44), ruler, SequenceStream(()))
-        assert k == 0
+        outcome, post = sawtooth_position_process(ruler, target=0).kernel(
+            LinePosition(0.44), SequenceStream(()))
+        assert outcome is YES
         assert post == LinePosition(0.2)
-        k, post = sawtooth_observe(LinePosition(-0.6), ruler, SequenceStream(()))
-        assert k == -2
+        outcome, post = sawtooth_position_process(ruler, target=-2).kernel(
+            LinePosition(-0.6), SequenceStream(()))
+        assert outcome is YES
         assert post.x == pytest.approx(-0.8)
 
     def test_tooth_tip_fair_draw(self):
-        ruler = SawtoothRuler(pitch=1.0, offset=0.0)
+        snap = sawtooth_position_process(SawtoothRuler(pitch=1.0, offset=0.0), target=1).kernel
         counts = {0: 0, 1: 0}
         trials = 10_000
         for i in range(trials):
-            k, _ = sawtooth_observe(LinePosition(0.5), ruler, TrialStream(13, i))
+            outcome, post = snap(LinePosition(0.5), TrialStream(13, i))
+            k = int(post.x)  # the cavity, read off its center at pitch 1, offset 0
+            assert (outcome is YES) == (k == 1)
             counts[k] += 1
         assert counts[0] + counts[1] == trials
         assert abs(counts[1] - trials / 2) < 4 * math.sqrt(trials / 4)
 
     def test_tip_consumes_one_draw_else_none(self):
-        ruler = SawtoothRuler(pitch=1.0, offset=0.0)
-        stream = SequenceStream((0.3,))
-        sawtooth_observe(LinePosition(0.5), ruler, stream)
-        assert stream.remaining == 0
-        sawtooth_observe(LinePosition(0.4), ruler, SequenceStream(()))
+        snap = sawtooth_position_process(SawtoothRuler(pitch=1.0, offset=0.0), target=0).kernel
+        stream = RecordingStream(SequenceStream((0.3,)))
+        snap(LinePosition(0.5), stream)
+        assert stream.draws == [0.3]
+        snap(LinePosition(0.4), SequenceStream(()))
+
+    def test_scenario_is_checked_before_the_kernel_runs(self):
+        # as for every process, observe and run_trials check the state, not the kernel
+        process = sawtooth_position_process(SawtoothRuler(), target=0)
+        with pytest.raises(ScenarioMismatchError):
+            observe(process, SolidState(1.0, 0.0), TrialStream(0))
+        with pytest.raises(ScenarioMismatchError):
+            run_trials(process, SolidState(1.0, 0.0), 10, seed=0)
 
     def test_position_process_analytics(self):
         ruler = SawtoothRuler(pitch=1.0, offset=0.0)

@@ -117,7 +117,8 @@ class TestNdcDemo:
         assert report.analytic == 0.5
         assert report.wilson_low <= 0.5 <= report.wilson_high
         # on dry intact wood the product answers yes exactly when it chose floatability
-        chose_floatability = sum(self.COIN.choose(TrialStream(7, i)) == 1 for i in range(10_000))
+        chose_floatability = sum(product_observe(self.COIN, DRY_INTACT, TrialStream(7, i))[2]
+                                 == "floatability" for i in range(10_000))
         assert report.yes == chose_floatability
 
     def test_certain_product_is_always_yes(self):
