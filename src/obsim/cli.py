@@ -73,14 +73,16 @@ def _fmt_cell(value):
     return value
 
 
-def emit_csv(out: Optional[Path], header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Fixed-schema CSV: header then rows, 9 significant digits, UTF-8, LF."""
+def emit_csv(out: Optional[Path], header: Sequence[str], rows: Iterable[Sequence],
+             staged: Optional[list] = None) -> None:
+    """Fixed-schema CSV: header then rows, 9 significant digits, UTF-8, LF;
+    ``staged`` as for :func:`_write_to`."""
     def write(fh: TextIO) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows([_fmt_cell(v) for v in row] for row in rows)
 
-    _write_to(out, write)
+    _write_to(out, write, staged)
 
 
 # one row object per call, through json's C encoder (``indent`` would force the
@@ -89,10 +91,11 @@ _ROW_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": ")).e
 
 
 def emit_json(out: Optional[Path], meta: dict, header: Sequence[str],
-              rows: Iterable[Sequence]) -> None:
+              rows: Iterable[Sequence], staged: Optional[list] = None) -> None:
     """JSON mirror of the CSV schema: row objects under "rows" plus "meta".
     Values keep their JSON types; floats are rounded like the CSV. Written a
-    row at a time, as the bytes of ``json.dumps(report, indent=2, sort_keys=True)``."""
+    row at a time, as the bytes of ``json.dumps(report, indent=2, sort_keys=True)``;
+    ``staged`` as for :func:`_write_to`."""
     def write(fh: TextIO) -> None:
         meta_text = json.dumps(meta, indent=2, sort_keys=True).replace("\n", "\n  ")
         fh.write(f'{{\n  "meta": {meta_text},\n  "rows": [')
@@ -104,13 +107,16 @@ def emit_json(out: Optional[Path], meta: dict, header: Sequence[str],
             sep = ","
         fh.write("\n  ]\n}\n" if sep else "]\n}\n")
 
-    _write_to(out, write)
+    _write_to(out, write, staged)
 
 
-def _write_to(out: Optional[Path], write: Callable[[TextIO], None]) -> None:
+def _write_to(out: Optional[Path], write: Callable[[TextIO], None],
+              staged: Optional[list] = None) -> None:
     """Run ``write`` on stdout, or on ``out`` such that a failed write leaves
     no half-written file: a new or regular file is written to a temp file
-    and renamed into place; a device, FIFO or symlink is written through."""
+    and renamed into place; a device, FIFO or symlink is written through.
+    Given a ``staged`` list, the written temp file is not renamed but
+    appended to it as ``(temp, out)``, for :func:`_commit`."""
     if out is None:
         try:
             write(sys.stdout)
@@ -128,7 +134,9 @@ def _write_to(out: Optional[Path], write: Callable[[TextIO], None]) -> None:
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             write(fh)
-        if atomic:
+        if atomic and staged is not None:
+            staged.append((tmp, out))
+        elif atomic:
             os.replace(tmp, out)
     except BaseException as err:  # a KeyboardInterrupt mid-write leaves no temp file either
         if atomic:  # never unlink the target itself
@@ -136,6 +144,15 @@ def _write_to(out: Optional[Path], write: Callable[[TextIO], None]) -> None:
         if isinstance(err, OSError):
             raise ConfigError(f"cannot write --out {out}: {err}") from err
         raise
+
+
+def _commit(staged: list) -> None:
+    """Rename every staged ``(temp, target)`` pair into place."""
+    for tmp, out in staged:
+        try:
+            os.replace(tmp, out)
+        except OSError as err:
+            raise ConfigError(f"cannot write --out {out}: {err}") from err
 
 
 def parse_config_file(path: Path) -> dict:
@@ -336,7 +353,8 @@ _SCENARIO_RUNNERS = {
 }
 
 
-def _emit(cfg: dict, scenario: str, header: tuple, rows: Iterable, out: Optional[Path]) -> None:
+def _emit(cfg: dict, scenario: str, header: tuple, rows: Iterable, out: Optional[Path],
+          staged: Optional[list] = None) -> None:
     if cfg["format"] == "json":
         meta = {
             "scenario": scenario,
@@ -344,9 +362,9 @@ def _emit(cfg: dict, scenario: str, header: tuple, rows: Iterable, out: Optional
             "trials": cfg["trials"],
             "version": __version__,
         }
-        emit_json(out, meta, header, rows)
+        emit_json(out, meta, header, rows, staged)
     else:
-        emit_csv(out, header, rows)
+        emit_csv(out, header, rows, staged)
 
 
 def _run(argv: Optional[Sequence[str]]) -> int:
@@ -355,11 +373,18 @@ def _run(argv: Optional[Sequence[str]]) -> int:
     scenario = cfg["scenario"]
 
     if scenario == "all":
-        for name, runner in _SCENARIO_RUNNERS.items():
-            sub_cfg = dict(cfg)
-            sub_cfg["trials"] = min(cfg["trials"], _DEFAULT_TRIALS[name])
-            header, rows = runner(sub_cfg)
-            _emit(sub_cfg, name, header, rows, _bundle_file(cfg, name))
+        # one run's bundle: no file is renamed into place before all are written
+        staged: list = []
+        try:
+            for name, runner in _SCENARIO_RUNNERS.items():
+                sub_cfg = dict(cfg)
+                sub_cfg["trials"] = min(cfg["trials"], _DEFAULT_TRIALS[name])
+                header, rows = runner(sub_cfg)
+                _emit(sub_cfg, name, header, rows, _bundle_file(cfg, name), staged)
+            _commit(staged)
+        finally:
+            for tmp, _ in staged:  # left only by a failed write or rename
+                tmp.unlink(missing_ok=True)
     else:
         header, rows = _SCENARIO_RUNNERS[scenario](cfg)
         _emit(cfg, scenario, header, rows, cfg["out"])

@@ -17,12 +17,12 @@ import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .core import (
     NO, YES, Branch, FirstDraw, ObservationProcess, Outcome, pick_decision, yes_no_branches,
 )
-from .randomness import DrawSource, SequenceStream, TrialStream, pick
+from .randomness import DrawSource, SequenceStream, TrialStream, first_draws, pick
 
 
 class Integrity(str, Enum):
@@ -325,8 +325,9 @@ class BandStep:
     """One step of :func:`break_trajectory`: the band after
     ``n_fragments - 1`` breaks, described by values the walk keeps as it goes.
 
-    ``total_length`` equals ``math.fsum`` of the fragments bit for bit,
-    ``max_fragment`` is the longest fragment and ``subhalf`` counts the
+    ``total_length`` equals ``math.fsum`` of the fragments bit for bit (the
+    walk keeps their exact sum and moves it by each break's one rounding
+    error), ``max_fragment`` is the longest fragment and ``subhalf`` counts the
     fragments shorter than half the original length. :meth:`state` builds the
     full band in O(n) from the walk's append-only split log, so a step kept
     after the walk has moved on still builds its own state.
@@ -357,14 +358,17 @@ class BandStep:
 
 
 def _units(x: float) -> int:
-    """``x`` as an exact integer count of 2**-1074, the smallest positive float."""
+    """``x`` as an exact integer count of 2**-1074, the smallest positive float
+    (negative for a negative ``x``, such as the walk's error term)."""
     num, den = x.as_integer_ratio()
     return num << (1075 - den.bit_length())
 
 
-def _walk(streams: Iterable[DrawSource]) -> Iterator[BandStep]:
-    """Break the unit band once per stream, as ``_left_handedness_kernel``
-    would, in O(log n) per break; yields the unbroken band, then each break."""
+def _walk(draws: Iterable[float], rest: Callable[[int], DrawSource]) -> Iterator[BandStep]:
+    """Break the unit band once per first draw in ``draws``, as
+    ``_left_handedness_kernel`` would, in O(log n) per break; yields the
+    unbroken band, then each break. Break i redraws from ``rest(i)``, its
+    stream past the first draw, where that draw leaves a zero-length piece."""
     half = 0.5
     parents: list[int] = []
     lengths = [1.0]
@@ -375,29 +379,46 @@ def _walk(streams: Iterable[DrawSource]) -> Iterator[BandStep]:
     # exact sum of the live fragments in units of 2**-1074, in which the unbroken
     # band is one; int true division rounds once, as math.fsum of the fragments does
     total = one = 1 << 1074
+    total_length = 1.0
     subhalf = 0
-    yield BandStep(1, 1.0, 1.0, subhalf, parents, lengths)
-    for i, rng in enumerate(streams):
+    yield BandStep(1, total_length, 1.0, subhalf, parents, lengths)
+    for i, r in enumerate(draws):
         neg_longest, path, parent = heap[0]
         longest = -neg_longest
-        _r, left, right = _break_point(longest, rng)
+        left = r * longest
+        right = longest - left
+        if not (0.0 < left and 0.0 < right):  # as _splits, inline
+            _r, left, right = _break_point(longest, rest(i))
         parents.append(parent)
         lengths += (left, right)
         heapq.heapreplace(heap, (-left, path + b"\x00", 2 * i + 1))
         heapq.heappush(heap, (-right, path + b"\x01", 2 * i + 2))
-        total += _units(left) + _units(right) - _units(longest)
+        # Fast2Sum (Dekker 1971): as left <= longest, err is the exact float with
+        # longest - left == right + err, so the fragments' sum moves by -err;
+        # err is 0 whenever left >= longest / 2 (Sterbenz)
+        err = -left - (right - longest)
+        if err:
+            total -= _units(err)
+            total_length = total / one
         subhalf += (left < half) + (right < half) - (longest < half)
-        yield BandStep(i + 2, total / one, -heap[0][0], subhalf, parents, lengths)
+        yield BandStep(i + 2, total_length, -heap[0][0], subhalf, parents, lengths)
 
 
 def break_trajectory(seed: int, breaks: int) -> Iterator[BandStep]:
     """Break the unit band by left-handedness ``breaks`` times, break i on
     TrialStream(seed, i): the one walk that feeds each post-state into the
-    next observation.
+    next observation. Break i's first draw comes from
+    :func:`~obsim.randomness.first_draws`; a redraw continues that stream.
 
     Yields a :class:`BandStep` for the unbroken band and then after each
     break. Step k's ``state()`` is the state that k calls of
     ``LEFT_HANDEDNESS.kernel`` on the same streams reach; one break costs
     O(log n).
     """
-    return _walk(TrialStream(seed, i) for i in range(breaks))
+
+    def rest(i: int) -> TrialStream:
+        rng = TrialStream(seed, i)
+        rng.draw()  # the walk took this draw from first_draws
+        return rng
+
+    return _walk(first_draws(seed, breaks), rest)

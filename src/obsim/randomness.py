@@ -15,7 +15,7 @@ finalizer decorrelates neighbouring streams.
 
 from __future__ import annotations
 
-from typing import Protocol, Sequence
+from typing import Iterator, Protocol, Sequence
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -56,6 +56,13 @@ class TrialStream:
         s = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         s = ((s ^ (s >> 27)) * 0x94D049BB133111EB) & _MASK64
         return ((s ^ (s >> 31)) >> 11) * _INV_2_53
+
+
+def first_draws(seed: int, stop: int) -> Iterator[float]:
+    """``TrialStream(seed, i).draw()`` for every i in range(stop), without
+    building a stream."""
+    for i in range(stop):
+        yield (_mix64(_mix64(seed + (i + 1) * _GOLDEN) + _GOLDEN) >> 11) * _INV_2_53
 
 
 def pick(r, n: int):

@@ -46,7 +46,7 @@ from obsim import (
 )
 from obsim import blocks, stats
 from obsim.core import YES, FirstDraw, Outcome
-from obsim.randomness import pick
+from obsim.randomness import first_draws, pick
 
 
 def machine(profile):
@@ -118,6 +118,16 @@ def test_first_draws_are_the_stream_draws(seed, start, n):
     draws = blocks.first_draws(seed, start, start + n)
     assert draws.dtype == np.float64
     assert draws.tolist() == [TrialStream(seed, i).draw() for i in range(start, start + n)]
+
+
+@given(seed=st.integers(0, 2**64 - 1), n=st.integers(0, 300))
+@example(seed=0, n=300)
+@example(seed=2**64 - 1, n=300)
+@settings(max_examples=50, deadline=None)
+def test_pure_python_first_draws_are_the_block_draws(seed, n):
+    expected = [TrialStream(seed, i).draw().hex() for i in range(n)]
+    assert [r.hex() for r in first_draws(seed, n)] == expected
+    assert [r.hex() for r in blocks.first_draws(seed, 0, n).tolist()] == expected
 
 
 # one short of, on, or one past a block edge, with a small block so edges are cheap;

@@ -5,6 +5,8 @@ import json
 import math
 import os
 import re
+import resource
+import signal
 import stat
 import subprocess
 import sys
@@ -380,11 +382,11 @@ def test_rows_failing_mid_write_leave_the_old_file(tmp_path, monkeypatch, capsys
     assert [p.name for p in tmp_path.iterdir()] == [out.name]
 
 
-def _obsim_child(stdout, *argv):
+def _obsim_child(stdout, *argv, **popen):
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
     return subprocess.Popen([sys.executable, "-m", "obsim.cli", *argv], stdout=stdout,
-                            stderr=subprocess.PIPE, text=True, env=env)
+                            stderr=subprocess.PIPE, text=True, env=env, **popen)
 
 
 def test_reader_closing_stdout_early_exits_1_without_a_traceback():
@@ -414,6 +416,31 @@ def test_failed_stdout_write_exits_2_naming_stdout():
             child.stderr.close()
             assert "Traceback" not in err
             assert "error: cannot write stdout" in err
+
+
+def _file_size_limit(limit):
+    def apply():  # runs in the child only
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # a write over the limit fails instead
+        resource.setrlimit(resource.RLIMIT_FSIZE,
+                           (limit, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+    return apply
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="needs RLIMIT_FSIZE")
+def test_failed_all_bundle_leaves_every_old_file(tmp_path):
+    # at 100 kB the seed-2 bundle fails at elastic.csv, after three of its
+    # files were written: none of them may reach the directory
+    out = tmp_path / "bundle"
+    assert run("all", "--seed", "1", "--out", str(out)) == 0
+    before = _tree(out)
+    child = _obsim_child(subprocess.DEVNULL, "all", "--seed", "2", "--out", str(out),
+                         preexec_fn=_file_size_limit(100_000))
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 2
+    assert "Traceback" not in err and "elastic.csv" in err
+    assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+    assert _tree(out) == before
 
 
 def test_json_rows_are_written_before_the_next_is_drawn():

@@ -24,6 +24,7 @@ from obsim import (
     TrialStream,
     break_trajectory,
 )
+from obsim import exemplars
 from obsim.core import NO, YES
 from obsim.exemplars import _units, _walk
 
@@ -227,11 +228,63 @@ class TestLeftHandedness:
         # dyadic draws split exactly, so equal lengths tie at almost every break
         rs = [draws[i % len(draws)] for i in range(300)]
         state = ElasticBandState.unbroken(1.0)
-        for i, step in enumerate(_walk(SequenceStream((r,)) for r in rs)):
+        for i, step in enumerate(_walk(rs, lambda i: NONE_STREAM)):
             if i:
                 _, state = LEFT_HANDEDNESS.kernel(state, SequenceStream((rs[i - 1],)))
             assert_step_is(step, state)
         assert len(set(state.fragments)) < len(state.fragments) // 10
+
+    @pytest.mark.parametrize("zeros", [(0,), (0, 1, 2), (3, 7, 8, 50)])
+    def test_walk_redraws_a_zero_first_draw_from_the_rest_of_its_stream(self, zeros):
+        # a first draw of 0.0 leaves a zero-length piece: the kernel reads the
+        # stream's second draw, and the walk must read that draw from rest(i)
+        firsts = [0.0 if i in zeros else TrialStream(5, i).draw() for i in range(60)]
+        seconds = [0.125 + i / 128 for i in range(60)]
+        state = ElasticBandState.unbroken(1.0)
+        steps = _walk(firsts, lambda i: SequenceStream((seconds[i],)))
+        for i, step in enumerate(steps):
+            if i:
+                pair = SequenceStream((firsts[i - 1], seconds[i - 1]))
+                _, state = LEFT_HANDEDNESS.kernel(state, pair)
+            assert_step_is(step, state)
+
+    def test_trajectory_redraws_from_the_trial_stream_past_its_first_draw(self, monkeypatch):
+        # first_draws stands in a 0.0 for some trials' first draws, so a redraw that
+        # read the trial's first draw again would split where the kernel does not
+        zeros = {0, 4, 5, 31}
+        monkeypatch.setattr(exemplars, "first_draws", lambda seed, stop: (
+            0.0 if i in zeros else TrialStream(seed, i).draw() for i in range(stop)))
+        state = ElasticBandState.unbroken(1.0)
+        for i, step in enumerate(break_trajectory(9, 40)):
+            if i:
+                rng = TrialStream(9, i - 1)
+                if i - 1 in zeros:
+                    rng.draw()
+                    rng = SequenceStream((0.0, rng.draw()))
+                _, state = LEFT_HANDEDNESS.kernel(state, rng)
+            assert_step_is(step, state)
+
+    @given(
+        r=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        longest=st.floats(min_value=5e-324, max_value=1.0, exclude_min=True),
+    )
+    @example(r=0.1, longest=0.7)  # err is nonzero
+    @example(r=0.5, longest=1.0)
+    @example(r=0.5, longest=5 * 5e-324)  # subnormal: the half rounds to even
+    @example(r=1 - 2**-53, longest=1e-323)
+    @example(r=1 - 2**-53, longest=sys.float_info.min)  # a power of two
+    @example(r=0.3, longest=2.0**-1073)
+    @example(r=0.7, longest=2.0**-600)
+    @settings(max_examples=300, deadline=None)
+    def test_one_error_term_is_the_exact_change_of_the_sum(self, r, longest):
+        # the walk's update: Fast2Sum, exact as left <= longest
+        left = r * longest
+        right = longest - left
+        err = -left - (right - longest)
+        assert Fraction(longest) - Fraction(left) == Fraction(right) + Fraction(err)
+        assert _units(left) + _units(right) - _units(longest) == -_units(err)
+        if r >= 0.5:
+            assert err == 0.0  # Sterbenz: longest - left is exact
 
     @given(st.floats(min_value=5e-324, allow_infinity=False))
     @example(5e-324)
