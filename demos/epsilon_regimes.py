@@ -15,12 +15,11 @@ import math
 from obsim import (
     ElasticApparatus,
     SegmentBreak,
-    TrialStream,
     quantum_machine_prob,
     quantum_machine_process,
+    run_trials,
     sphere_point_at,
 )
-from obsim.core import YES
 
 TRIALS = 5_000
 gammas = [k * math.pi / 12 for k in range(13)]
@@ -33,11 +32,7 @@ for width in (0.25, 0.5, 1.0):
     print(f"{'gamma/pi':>9} {'|cos|':>6} {'regime':>14} {'analytic':>9} {'empirical':>10}")
     for gamma in gammas:
         state = sphere_point_at(gamma)
-        yes = sum(
-            1
-            for i in range(TRIALS)
-            if process.kernel(state, TrialStream(7, i))[0] is YES
-        )
+        yes = run_trials(process, state, TRIALS, 7).yes
         regime = "deterministic" if abs(math.cos(gamma)) >= width else "probabilistic"
         analytic = quantum_machine_prob(gamma, SegmentBreak(width))
         print(

@@ -43,7 +43,7 @@ _DEFAULT_TRIALS = {
 }
 _DEFAULT_GRID = {"quantum-machine": 13, "epsilon-sweep": 25}
 # upper bounds, checked before any trial runs: a trial count bounds run time,
-# except for elastic, whose walk keeps a heap entry and split log per break
+# except for elastic, whose walk keeps a heap entry per fragment
 _MAX_TRIALS = {**dict.fromkeys(SCENARIOS, 10_000_000), "elastic": 200_000}
 _MAX_GAMMA_GRID = 10_000
 _MAX_EPSILONS = 16
@@ -198,8 +198,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         trials_help = (
             f"breaks of the band, at most {_MAX_TRIALS[name]}; rows are written as the "
-            "walk goes, but its heap and split log grow with every break (peak RSS at "
-            "the bound, x86-64 Python 3.11: 79 MB as CSV or JSON)"
+            "walk goes, but its heap grows with every break (peak RSS at the bound, "
+            "x86-64 Python 3.11: 50 MB as CSV or JSON)"
             if name == "elastic" else f"trials per grid point, at most {_MAX_TRIALS[name]}")
         sp.add_argument("--trials", type=int, default=None, help=trials_help)
         sp.add_argument("--seed", type=int, default=None, help="64-bit unsigned master seed")

@@ -329,32 +329,22 @@ class BandStep:
     walk keeps their exact sum and moves it by each break's one rounding
     error), ``max_fragment`` is the longest fragment and ``subhalf`` counts the
     fragments shorter than half the original length. :meth:`state` builds the
-    full band in O(n) from the walk's append-only split log, so a step kept
-    after the walk has moved on still builds its own state.
+    full band in O(n log n) from the walk's heap, the only record of the band;
+    a step that the walk has moved past raises ``ValueError`` instead.
     """
 
     n_fragments: int
     total_length: float
     max_fragment: float
     subhalf: int
-    _parents: list[int] = field(repr=False)
-    _lengths: list[float] = field(repr=False)
+    _heap: list[tuple[float, bytes]] = field(repr=False)  # the walk's, as it is now
 
     def state(self) -> ElasticBandState:
-        # fragment 0 is the unbroken band; break i split fragment parents[i]
-        # into fragments 2i + 1 (left piece) and 2i + 2 (right piece)
-        breaks = self.n_fragments - 1
-        first_child = dict(zip(self._parents[:breaks], range(1, 2 * breaks, 2)))
-        fragments = []
-        stack = [0]
-        while stack:
-            f = stack.pop()
-            child = first_child.get(f)
-            if child is None:
-                fragments.append(self._lengths[f])
-            else:
-                stack += (child + 1, child)  # the left piece pops first
-        return ElasticBandState(tuple(fragments), self._lengths[0])
+        if len(self._heap) != self.n_fragments:
+            raise ValueError("the walk has moved past this step; only its latest step has a state")
+        # sorted by path, the fragments are in positional order
+        ordered = sorted(self._heap, key=operator.itemgetter(1))
+        return ElasticBandState(tuple(-neg for neg, _ in ordered), 1.0)
 
 
 def _units(x: float) -> int:
@@ -370,29 +360,25 @@ def _walk(draws: Iterable[float], rest: Callable[[int], DrawSource]) -> Iterator
     unbroken band, then each break. Break i redraws from ``rest(i)``, its
     stream past the first draw, where that draw leaves a zero-length piece."""
     half = 0.5
-    parents: list[int] = []
-    lengths = [1.0]
-    # live fragments as (-length, path, id): the top is the longest, and the
+    # live fragments as (-length, path): the top is the longest, and the
     # leftmost of equal lengths, because the path (one byte per split, 0 for
     # the left piece, 1 for the right) sorts fragments in positional order
-    heap = [(-1.0, b"", 0)]
+    heap = [(-1.0, b"")]
     # exact sum of the live fragments in units of 2**-1074, in which the unbroken
     # band is one; int true division rounds once, as math.fsum of the fragments does
     total = one = 1 << 1074
     total_length = 1.0
     subhalf = 0
-    yield BandStep(1, total_length, 1.0, subhalf, parents, lengths)
+    yield BandStep(1, total_length, 1.0, subhalf, heap)
     for i, r in enumerate(draws):
-        neg_longest, path, parent = heap[0]
+        neg_longest, path = heap[0]
         longest = -neg_longest
         left = r * longest
         right = longest - left
         if not (0.0 < left and 0.0 < right):  # as _splits, inline
             _r, left, right = _break_point(longest, rest(i))
-        parents.append(parent)
-        lengths += (left, right)
-        heapq.heapreplace(heap, (-left, path + b"\x00", 2 * i + 1))
-        heapq.heappush(heap, (-right, path + b"\x01", 2 * i + 2))
+        heapq.heapreplace(heap, (-left, path + b"\x00"))
+        heapq.heappush(heap, (-right, path + b"\x01"))
         # Fast2Sum (Dekker 1971): as left <= longest, err is the exact float with
         # longest - left == right + err, so the fragments' sum moves by -err;
         # err is 0 whenever left >= longest / 2 (Sterbenz)
@@ -401,7 +387,7 @@ def _walk(draws: Iterable[float], rest: Callable[[int], DrawSource]) -> Iterator
             total -= _units(err)
             total_length = total / one
         subhalf += (left < half) + (right < half) - (longest < half)
-        yield BandStep(i + 2, total_length, -heap[0][0], subhalf, parents, lengths)
+        yield BandStep(i + 2, total_length, -heap[0][0], subhalf, heap)
 
 
 def break_trajectory(seed: int, breaks: int) -> Iterator[BandStep]:
@@ -411,9 +397,9 @@ def break_trajectory(seed: int, breaks: int) -> Iterator[BandStep]:
     :func:`~obsim.randomness.first_draws`; a redraw continues that stream.
 
     Yields a :class:`BandStep` for the unbroken band and then after each
-    break. Step k's ``state()`` is the state that k calls of
-    ``LEFT_HANDEDNESS.kernel`` on the same streams reach; one break costs
-    O(log n).
+    break. While step k is the latest, its ``state()`` is the state that k
+    calls of ``LEFT_HANDEDNESS.kernel`` on the same streams reach; one break
+    costs O(log n).
     """
 
     def rest(i: int) -> TrialStream:

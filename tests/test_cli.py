@@ -382,11 +382,15 @@ def test_rows_failing_mid_write_leave_the_old_file(tmp_path, monkeypatch, capsys
     assert [p.name for p in tmp_path.iterdir()] == [out.name]
 
 
-def _obsim_child(stdout, *argv, **popen):
+def _python_child(stdout, *argv, **popen):
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-    return subprocess.Popen([sys.executable, "-m", "obsim.cli", *argv], stdout=stdout,
-                            stderr=subprocess.PIPE, text=True, env=env, **popen)
+    return subprocess.Popen([sys.executable, *argv], stdout=stdout, stderr=subprocess.PIPE,
+                            text=True, env=env, **popen)
+
+
+def _obsim_child(stdout, *argv, **popen):
+    return _python_child(stdout, "-m", "obsim.cli", *argv, **popen)
 
 
 def test_reader_closing_stdout_early_exits_1_without_a_traceback():
@@ -441,6 +445,57 @@ def test_failed_all_bundle_leaves_every_old_file(tmp_path):
     assert "Traceback" not in err and "elastic.csv" in err
     assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
     assert _tree(out) == before
+
+
+# runs each argv list through cli.main in one process; prints [exit, stderr] per run
+_MAIN_EACH = """
+import contextlib, io, json, sys
+from obsim import cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        results.append((cli.main(argv), err.getvalue()))
+print(json.dumps(results))
+"""
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="needs RLIMIT_FSIZE")
+def test_write_over_a_file_size_limit_exits_2_and_keeps_the_old_file(tmp_path):
+    # every scenario in both formats, seed 2 over its seed-1 file, under each
+    # limit in its own child: a report longer than the limit must fail whole
+    scenarios = ("quantum-machine", "epsilon-sweep", "wood-product", "elastic", "classify")
+    names = [f"{scenario}.{fmt}" for scenario in scenarios for fmt in ("csv", "json")]
+
+    def argv(name, seed, out):
+        return [name.split(".")[0], "--trials", "3", "--gamma-grid", "2", "--seed", str(seed),
+                "--out", str(out / name)]
+
+    for name in names:
+        assert run(*argv(name, 2, tmp_path)) == 0
+    new = {name: (tmp_path / name).read_bytes() for name in names}
+    children = {}
+    for limit in (0, 100, 1000):
+        out = tmp_path / str(limit)
+        out.mkdir()
+        for name in names:
+            assert run(*argv(name, 1, out)) == 0
+        old = _tree(out)
+        runs = json.dumps([argv(name, 2, out) for name in names])
+        children[limit] = (out, old, _python_child(subprocess.PIPE, "-c", _MAIN_EACH, runs,
+                                                   preexec_fn=_file_size_limit(limit)))
+    outcomes = {0: set(), 2: set()}
+    for limit, (out, old, child) in children.items():
+        results, child_err = child.communicate(timeout=60)
+        assert child.returncode == 0, child_err
+        for name, (code, err) in zip(names, json.loads(results)):
+            assert "Traceback" not in err
+            assert code == (2 if len(new[name]) > limit else 0), (limit, name, err)
+            assert not code or f"cannot write --out {out / name}" in err
+            outcomes[code].add(name)
+            expected = old[name] if code else new[name]
+            assert (out / name).read_bytes() == expected, (limit, name)
+        assert sorted(p.name for p in out.iterdir()) == sorted(names)  # no temp file left
+    assert outcomes[0] and outcomes[2]  # both outcomes were exercised
 
 
 def test_json_rows_are_written_before_the_next_is_drawn():

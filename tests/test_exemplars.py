@@ -215,13 +215,14 @@ class TestLeftHandedness:
     @example(seed=2**64 - 1, breaks=2_000)
     @settings(max_examples=10, deadline=None)
     def test_break_trajectory_is_the_kernel_walk(self, seed, breaks):
-        steps = list(break_trajectory(seed, breaks))
-        assert len(steps) == breaks + 1
         state = ElasticBandState.unbroken(1.0)
-        for i, step in enumerate(steps):
+        steps = 0
+        for i, step in enumerate(break_trajectory(seed, breaks)):
             if i:
                 _, state = LEFT_HANDEDNESS.kernel(state, TrialStream(seed, i - 1))
             assert_step_is(step, state)
+            steps += 1
+        assert steps == breaks + 1
 
     @pytest.mark.parametrize("draws", [(0.5,), (0.5, 0.25, 0.75), (0.75, 0.5)])
     def test_walk_breaks_the_leftmost_of_equal_lengths(self, draws):
@@ -294,13 +295,19 @@ class TestLeftHandedness:
     def test_units_are_exact(self, x):
         assert Fraction(_units(x), 1 << 1074) == Fraction(x)
 
-    def test_kept_step_builds_its_own_state_later(self):
+    def test_only_the_latest_step_builds_a_state(self):
+        # the walk's heap is the only record of the band: a step it has moved
+        # past must refuse rather than build the band as it is now
         walk = break_trajectory(11, 400)
-        kept = [(step, step.state()) for step, _ in zip(walk, range(60))]
-        for _ in walk:  # the walk moves on and its split log grows
-            pass
-        for step, state in kept:
-            assert step.state() == state
+        state = ElasticBandState.unbroken(1.0)
+        kept = [next(walk)]
+        for i, step in enumerate(walk):
+            _, state = LEFT_HANDEDNESS.kernel(state, TrialStream(11, i))
+            for old in kept:
+                with pytest.raises(ValueError, match="moved past"):
+                    old.state()
+            assert_step_is(step, state)
+            kept = kept[-5:] + [step]
 
     def test_trajectory_grows_the_band(self):
         # the one walk that feeds each post-state into the next observation
