@@ -6,17 +6,20 @@ operations with no sequential state (a counter-based generator, as in
 Salmon et al., SC 2011). A process's :class:`~obsim.core.FirstDraw` decides
 each draw with the expression its kernel uses, and a trial whose kernel
 would draw again is run by the kernel itself, so every count equals the
-kernel loop's. A record is the kernel's on a stream whose first draw comes
-from the block, so every record equals :func:`~obsim.core.observe`'s.
+kernel loop's. Where the decision also has ``posts``, a trial's record is
+built from its first draw alone; any other record is the kernel's on a
+stream whose first draw comes from the block. Either way every record
+equals :func:`~obsim.core.observe`'s.
 """
 
 from __future__ import annotations
 
 import gc
+from itertools import repeat
 
 import numpy as np
 
-from .core import YES, FirstDraw, Kernel, ObservationProcess, ObservationRecord
+from .core import NO, YES, FirstDraw, Kernel, ObservationProcess, ObservationRecord, Outcome
 from .randomness import _GOLDEN, _INV_2_53, _MASK64, TrialStream
 
 BLOCK = 1 << 14  # trials per block: memory stays flat whatever the trial count
@@ -93,18 +96,30 @@ class _PrimedStream:
         return value
 
 
+def _pair(first: object, second: object) -> np.ndarray:
+    # set entry by entry: np.array would unpack a post-state that is a sequence
+    table = np.empty(2, dtype=object)
+    table[0], table[1] = first, second
+    return table
+
+
 def record_trials(
-    process: ObservationProcess, state: object, seed: int, trials: int
+    process: ObservationProcess, state: object, seed: int, trials: int,
+    decision: Outcome | FirstDraw | None,
 ) -> tuple[list, int]:
     """``observe(process, state, TrialStream(seed, i), index=i)``'s record for
     every i in range(trials), on a ``state`` already checked to be of the
-    process's scenario, and the number of yes outcomes among them."""
+    process's scenario, and the number of yes outcomes among them.
+    ``decision`` is ``process.first_draw(state)``, or None."""
     kernel, process_id = process.kernel, process.id
     # the record tuple built directly: the NamedTuple's own __new__ is a Python call
     new_tuple = tuple.__new__
     records = []
     append = records.append
     yes = 0
+    decided = isinstance(decision, FirstDraw) and decision.posts is not None
+    if decided:
+        outcome_of, post_of = _pair(NO, YES), _pair(*decision.posts)
     rng = _PrimedStream(seed)
     # The records are acyclic tuples over shared state objects, so the cyclic
     # GC finds nothing to free in them; left on, it walks the growing list
@@ -113,7 +128,18 @@ def record_trials(
     gc.disable()
     try:
         for start in range(0, trials, BLOCK):
-            for i, r in enumerate(first_draws(seed, start, min(start + BLOCK, trials)).tolist(), start):
+            stop = min(start + BLOCK, trials)
+            draws = first_draws(seed, start, stop)
+            if decided:
+                # the first draw fixes the outcome and the post, and it is the only draw
+                hit = decision.yes(draws)
+                yes += int(np.count_nonzero(hit))
+                picked = hit.astype(np.intp)
+                records.extend(map(new_tuple, repeat(ObservationRecord), zip(
+                    repeat(process_id), repeat(state), outcome_of[picked].tolist(),
+                    post_of[picked].tolist(), zip(draws.tolist()), range(start, stop))))
+                continue
+            for i, r in enumerate(draws.tolist(), start):
                 rng._first, rng._index, rng.draws, rng._rest = r, i, (), None
                 outcome, post = kernel(state, rng)
                 if outcome is YES:

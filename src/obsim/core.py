@@ -70,20 +70,31 @@ class FirstDraw:
     """A trial's outcome as a pure function of its first draw ``r``.
 
     Where ``kept(r)`` holds (everywhere when ``kept`` is None) the kernel
-    draws nothing more and answers yes exactly when ``yes(r)``; elsewhere it
-    draws again. Both use only ``-``, ``*``, ``<``, ``&`` and the entry that
-    :func:`pick` indexes, which come out alike on a Python float and
-    elementwise on a float64 array, so a block of draws is decided as the
-    kernel decides each one.
+    answers yes exactly when ``yes(r)``, whatever it draws after ``r``;
+    elsewhere it draws again and answers as those draws fall. Both use only
+    ``-``, ``*``, ``<``, ``&`` and the entry that :func:`pick` indexes, which
+    come out alike on a Python float and elementwise on a float64 array, so a
+    block of draws is decided as the kernel decides each one.
+
+    ``posts``, ``(post on no, post on yes)``, promises more: the kernel draws
+    nothing after ``r`` and returns that post-state (that very object, or one
+    equal to it), so a trial's audit record follows from ``r`` alone.
+    ``posts`` and ``kept`` are never both set.
     """
 
     yes: Callable[[Any], Any]
     kept: Optional[Callable[[Any], Any]] = None
+    posts: Optional[tuple[object, object]] = None
 
 
-def pick_decision(yes_at: Sequence[bool]) -> "Outcome | FirstDraw":
+def pick_decision(
+    yes_at: Sequence[bool], posts_at: Optional[Sequence[object]]
+) -> "Outcome | FirstDraw":
     """The decision of a process whose first draw ``r`` picks entry
-    ``pick(r, len(yes_at))`` and which then answers that entry with no draw."""
+    ``pick(r, len(yes_at))`` and whose outcome is then that entry, whatever it
+    draws next. ``posts_at``, unless None, says that the process draws nothing
+    after the pick and moves to that entry's post object; the decision then
+    has ``posts`` when every no-entry has the same post, and every yes-entry."""
     if all(yes_at):
         return YES
     if not any(yes_at):
@@ -92,7 +103,12 @@ def pick_decision(yes_at: Sequence[bool]) -> "Outcome | FirstDraw":
 
     table = np.array(yes_at, dtype=bool)
     n = len(table)
-    return FirstDraw(lambda r: table[pick(r, n)])
+    posts = None
+    if posts_at is not None:
+        on = {}  # the post of each answer, while every entry of that answer agrees
+        if all(on.setdefault(y, post) is post for y, post in zip(yes_at, posts_at)):
+            posts = (on[False], on[True])
+    return FirstDraw(lambda r: table[pick(r, n)], posts=posts)
 
 
 @dataclass(frozen=True)
@@ -109,9 +125,11 @@ class ObservationProcess:
                   the distinct yes-probabilities the process takes over all
                   states reachable via a yes outcome.
     first_draw    optional map from a state to the Outcome every trial there
-                  gives, to a FirstDraw when the kernel decides on its first
-                  draw, or to None; ``stats.run_trials`` uses it to count yes
-                  outcomes without running the kernel trial by trial.
+                  gives, to a FirstDraw when the first draw decides the
+                  outcome (see FirstDraw for what it promises), or to None;
+                  ``stats.run_trials`` uses it to count yes outcomes, and to
+                  build records where the decision has ``posts``, without
+                  running the kernel trial by trial.
     """
 
     id: str

@@ -301,7 +301,8 @@ def _pick_process(id: str, compare) -> ObservationProcess:
 
     def first_draw(state: ElasticBandState) -> Outcome | FirstDraw:
         half = 0.5 * state.original_length
-        return pick_decision([compare(f, half) for f in state.fragments])
+        fragments = state.fragments
+        return pick_decision([compare(f, half) for f in fragments], [state] * len(fragments))
 
     return ObservationProcess(
         id=id,

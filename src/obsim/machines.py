@@ -217,7 +217,7 @@ def quantum_machine_process(apparatus: ElasticApparatus, id: str | None = None) 
         if yes_test is None:
             return kernel(state, SequenceStream(()))[0]
         c = _cos_between(state.direction, rho, minus_rho)
-        return FirstDraw(lambda r: yes_test(r, c))
+        return FirstDraw(lambda r: yes_test(r, c), posts=(post_minus, post_plus))
 
     def analytic(state: SpherePoint) -> float:
         return _prob_from_cos(_cos_between(state.direction, rho, minus_rho), profile)

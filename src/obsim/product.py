@@ -24,7 +24,7 @@ from .core import (
     PropertyDef,
 )
 from .exemplars import BURNABILITY, DRY_INTACT, FLOATABILITY, NON_BURNABILITY
-from .randomness import DrawSource, RecordingStream, pick
+from .randomness import DrawSource, RecordingStream, SequenceStream, pick
 from .stats import TrialReport, sweep
 
 
@@ -92,11 +92,16 @@ def product_process(prod: ProductObservation) -> ObservationProcess:
         )
 
     def first_draw(state):
-        # decided by the pick alone when no component draws at this state
+        # decided by the pick alone when every component's outcome is fixed at this state
         outcomes = [c.first_draw and c.first_draw(state) for c in prod.components]
         if not all(isinstance(o, Outcome) for o in outcomes):
             return None
-        return pick_decision([o is YES for o in outcomes])
+        try:
+            # each post too, where no component draws after the pick
+            posts = [c.kernel(state, SequenceStream(()))[1] for c in prod.components]
+        except RuntimeError:  # a component draws: a nested product's own pick
+            posts = None
+        return pick_decision([o is YES for o in outcomes], posts)
 
     return ObservationProcess(
         id="product(" + ",".join(c.id for c in prod.components) + ")",

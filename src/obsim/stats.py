@@ -72,11 +72,13 @@ def run_trials(
 
     Trial i draws from TrialStream(seed, i) alone, so the report is the same
     however the trials are scheduled: they run in one thread in index order,
-    and ``workers`` is accepted but has no effect. Each record is the
-    kernel's on its trial's first draw taken from a numpy block. Without
-    records, from ``BLOCKS_FROM`` trials on, a process whose ``first_draw``
-    decides the state has its yes outcomes counted in blocks without a
-    kernel call per trial. Counts and records equal the kernel loop's.
+    and ``workers`` is accepted but has no effect. Each trial's first draw
+    for a record is taken from a numpy block; the record is built from that
+    draw alone where the process's ``first_draw`` decision has ``posts``,
+    and by the kernel otherwise. Without records, from ``BLOCKS_FROM``
+    trials on, a process whose ``first_draw`` decides the state has its yes
+    outcomes counted in blocks without a kernel call per trial. Counts and
+    records equal the kernel loop's.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
@@ -87,14 +89,14 @@ def run_trials(
         analytic = process.analytic(initial_state)
 
     decision = None
-    if trials >= BLOCKS_FROM and not collect_records and process.first_draw is not None:
+    if (trials >= BLOCKS_FROM or collect_records) and process.first_draw is not None:
         decision = process.first_draw(initial_state)
     records = None
     kernel = process.kernel
     if collect_records:
         from .blocks import record_trials  # numpy: only a run that records or counts in blocks
 
-        records, yes = record_trials(process, initial_state, seed, trials)
+        records, yes = record_trials(process, initial_state, seed, trials, decision)
     elif isinstance(decision, Outcome):
         yes = trials if decision is YES else 0
     elif decision is not None:

@@ -1,6 +1,7 @@
 """Block counts and records against the scalar kernel loop, bit for bit."""
 
 import contextlib
+import dataclasses
 import gc
 import math
 import os
@@ -63,6 +64,10 @@ PROFILES = (UniformBreak(), SegmentBreak(0.25), SegmentBreak(1.0), SegmentBreak(
 # kernel draws again
 SUBNORMAL_BAND = ElasticBandState((1e-323,), 1e-323)
 COIN = product_process(ProductObservation((NON_BURNABILITY, FLOATABILITY)))
+# the outer pick decides, but on the inner product the kernel picks again: 1 or 2 draws
+NESTED = product_process(ProductObservation(
+    (product_process(ProductObservation((BURNABILITY, FLOATABILITY))), NON_BURNABILITY)
+))
 
 BLOCK_CASES = [(machine(p), s) for p in PROFILES for s in MACHINE_STATES] + [
     (LEFT_HANDEDNESS, ElasticBandState.unbroken(1.0)),
@@ -75,6 +80,7 @@ BLOCK_CASES = [(machine(p), s) for p in PROFILES for s in MACHINE_STATES] + [
     (product_process(ProductObservation((BURNABILITY, NON_BURNABILITY, FLOATABILITY))),
      DRY_INTACT),
     (product_process(ProductObservation((BURNABILITY, FLOATABILITY))), DRY_INTACT),
+    (NESTED, DRY_INTACT),
     (BURNABILITY, DRY_INTACT),
     (INCOMPRESSIBILITY, SolidState(1.0, 0.5)),
 ]
@@ -224,6 +230,39 @@ def test_a_raising_kernel_leaves_the_collector_as_the_caller_had_it(enabled):
     assert seen == [False] * 3
 
 
+def raising_kernel(state, rng):
+    raise AssertionError("a decided record ran the kernel")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("process,state", [
+    (machine(UniformBreak()), sphere_point_at(1.0)),
+    (COIN, DRY_INTACT),
+    (FRAGMENTATION, ElasticBandState((0.7, 0.2, 0.1), 1.0)),
+])
+def test_decided_records_are_built_without_the_kernel(process, state, enabled):
+    assert process.first_draw(state).posts is not None
+    decided = dataclasses.replace(process, kernel=raising_kernel)
+    with collector(enabled), mock.patch.object(blocks, "BLOCK", 7):
+        report = run_trials(decided, state, 30, 5, collect_records=True)
+        assert gc.isenabled() is enabled
+    expected = observe_loop(process, state, 30, 5)
+    assert list(report.records) == expected
+    assert report.yes == sum(rec.outcome is YES for rec in expected)
+    assert {len(rec.draws) for rec in report.records} == {1}
+
+
+@pytest.mark.parametrize("process,state", [
+    (LEFT_HANDEDNESS, ElasticBandState.unbroken(1.0)),  # kept: some trials draw again
+    (NESTED, DRY_INTACT),  # the inner product draws again
+    # a yes from burnability leaves ashes, one from floatability wet wood
+    (product_process(ProductObservation((BURNABILITY, NON_BURNABILITY, FLOATABILITY))),
+     DRY_INTACT),
+])
+def test_decisions_without_posts(process, state):
+    assert process.first_draw(state).posts is None
+
+
 def test_short_runs_load_no_numpy():
     # below the cut-over the kernel loop counts, and the coin's first_draw
     # (whose mixed pick table is a numpy array) is not asked
@@ -258,16 +297,24 @@ def test_block_edges_at_the_real_block_size(seed):
 
 
 def assert_decides_as_kernel(process, state, r):
-    """The decision on draw ``r`` as a float, as a float64 array, and the kernel's."""
+    """The decision on draw ``r`` as a float, as a float64 array, and the
+    kernel's, whatever the kernel draws after ``r``; where the decision has
+    posts, the kernel draws nothing more and moves to the post it names."""
     decision = process.first_draw(state)
     array = np.array([r, r], dtype=np.float64)
     if decision.kept is not None:
+        assert decision.posts is None
         assert decision.kept(array).tolist() == [decision.kept(r)] * 2
         if not decision.kept(r):
             with pytest.raises(RuntimeError, match="exhausted"):  # the kernel draws again
                 process.kernel(state, SequenceStream((r,)))
             return
-    outcome, _post = process.kernel(state, SequenceStream((r,)))
+    if decision.posts is not None:
+        outcome, post = process.kernel(state, SequenceStream((r,)))
+        assert post == decision.posts[outcome is YES]
+    else:
+        outcome, _post = process.kernel(state, SequenceStream((r, 0.0)))
+        assert process.kernel(state, SequenceStream((r, 1.0 - 2.0**-53)))[0] is outcome
     assert bool(decision.yes(r)) is (outcome is YES)
     assert decision.yes(array).tolist() == [outcome is YES] * 2
 

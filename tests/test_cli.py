@@ -393,6 +393,52 @@ def _obsim_child(stdout, *argv, **popen):
     return _python_child(stdout, "-m", "obsim.cli", *argv, **popen)
 
 
+# every scenario that writes to stdout ("all" writes a directory), in both formats
+STDOUT_RUNS = [[scenario, "--trials", "3", "--gamma-grid", "2", "--format", fmt]
+               for scenario in cli.SCENARIOS if scenario != "all" for fmt in ("csv", "json")]
+
+# runs each argv list as ``python -m obsim.cli`` does, each in a child forked
+# after one import of obsim (a fresh interpreter per run costs about 0.14 s on
+# a 2-vCPU host), with stdout on a pipe whose reader is gone ("closed") or on
+# a file at that path that may not grow; prints [exit code, stderr] per run
+_FORK_EACH = """
+import json, os, resource, signal, sys
+from obsim import cli
+children = []
+for argv, stdout in json.loads(sys.argv[1]):
+    err_read, err_write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        if stdout == "closed":
+            read_end, out = os.pipe()
+            os.close(read_end)
+        else:
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # a write over the limit fails instead
+            hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+            resource.setrlimit(resource.RLIMIT_FSIZE, (0, hard))
+            out = os.open(stdout, os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
+        os.dup2(out, 1)
+        os.dup2(err_write, 2)  # a pipe: the file-size limit does not reach it
+        raise SystemExit(cli.main(argv))
+    os.close(err_write)
+    children.append((pid, err_read))
+results = []
+for pid, err_read in children:
+    with os.fdopen(err_read) as err:
+        text = err.read()
+    results.append((os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), text))
+print(json.dumps(results))
+"""
+
+
+def _forked_runs(stdout_of):
+    """[exit code, stderr] of every run in STDOUT_RUNS, each on ``stdout_of(argv)``."""
+    runs = json.dumps([(argv, stdout_of(argv)) for argv in STDOUT_RUNS])
+    results, err = _python_child(subprocess.PIPE, "-c", _FORK_EACH, runs).communicate(timeout=60)
+    assert err == ""
+    return json.loads(results)
+
+
 def test_reader_closing_stdout_early_exits_1_without_a_traceback():
     # 100 000 breaks are megabytes of rows, so each child is still writing when
     # its reader leaves after the first line; the two formats run side by side
@@ -403,23 +449,33 @@ def test_reader_closing_stdout_early_exits_1_without_a_traceback():
         first_lines[fmt] = child.stdout.readline()
         child.stdout.close()
     assert first_lines == {"csv": ",".join(ELASTIC_HEADER) + "\n", "json": "{\n"}
+    # a reader gone before anything is written: even a report shorter than the
+    # pipe's buffer meets EPIPE, at its first flush
+    forked = _forked_runs(lambda argv: "closed")
     for child in children.values():
         assert child.wait(timeout=60) == 1
         assert child.stderr.read() == ""  # no traceback, no message
         child.stderr.close()
+    assert forked == [[1, ""]] * len(STDOUT_RUNS)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-def test_failed_stdout_write_exits_2_naming_stdout():
+@pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="needs RLIMIT_FSIZE")
+def test_failed_stdout_write_exits_2_naming_stdout(tmp_path):
     with open("/dev/full", "w") as full:
         children = [_obsim_child(full, "elastic", "--trials", "10", "--format", fmt)
                     for fmt in ("csv", "json")]
-        for child in children:
-            assert child.wait(timeout=60) == 2
-            err = child.stderr.read()
-            child.stderr.close()
-            assert "Traceback" not in err
-            assert "error: cannot write stdout" in err
+    # a stdout redirected to a file that may not grow: every report's first flush fails
+    forked = _forked_runs(lambda argv: str(tmp_path / f"{argv[0]}.{argv[-1]}"))
+    results = [(child.wait(timeout=60), child.stderr.read()) for child in children] + forked
+    for child in children:
+        child.stderr.close()
+    for (code, err), argv in zip(results, [["elastic"]] * 2 + STDOUT_RUNS, strict=True):
+        assert code == 2, argv
+        assert "Traceback" not in err, argv
+        assert "error: cannot write stdout" in err, argv
+    assert len(list(tmp_path.iterdir())) == len(STDOUT_RUNS)
+    assert {p.stat().st_size for p in tmp_path.iterdir()} == {0}
 
 
 def _file_size_limit(limit):
