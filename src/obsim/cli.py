@@ -17,11 +17,7 @@ import sys
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
-from . import __version__, checks
-from .exemplars import break_trajectory
-from .machines import machine_sweep
-from .product import wood_product_sweep
-from .taxonomy import default_suite, taxonomy_table
+from . import __version__
 
 SCENARIOS = ("quantum-machine", "epsilon-sweep", "wood-product", "elastic", "classify", "all")
 
@@ -50,13 +46,17 @@ _MAX_EPSILONS = 16
 _DEFAULT_EPSILONS = (0.25, 0.5, 0.75, 1.0)
 _CONFIG_KEYS = ("trials", "seed", "gamma_grid", "epsilon", "out", "format", "workers")
 
+# names in obsim.checks, looked up only under --check; an entry may also be a
+# check itself. Each scenario runner likewise imports its own module when it runs.
 _CHECKS_BY_SCENARIO = {
-    "quantum-machine": (checks.check_uniform_curve,),
-    "epsilon-sweep": (checks.check_segment_regime_map,),
-    "wood-product": (checks.check_product_choice_theorem, checks.check_compaction_creation),
-    "elastic": (checks.check_elastic_suite,),
-    "classify": (checks.check_taxonomy_fixture,),
-    "all": checks.ALL_CHECKS,
+    "quantum-machine": ("check_uniform_curve",),
+    "epsilon-sweep": ("check_segment_regime_map",),
+    "wood-product": ("check_product_choice_theorem", "check_compaction_creation"),
+    "elastic": ("check_elastic_suite",),
+    "classify": ("check_taxonomy_fixture",),
+    "all": ("check_uniform_curve", "check_segment_regime_map", "check_product_choice_theorem",
+            "check_elastic_suite", "check_compaction_creation", "check_taxonomy_fixture",
+            "check_csv_determinism"),
 }
 
 
@@ -124,7 +124,9 @@ def _write_to(out: Optional[Path], write: Callable[[TextIO], None],
         except OSError as err:
             # point stdout at devnull, so the interpreter's last flush of what
             # is still buffered cannot fail again (the Python docs' SIGPIPE note)
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
             if isinstance(err, BrokenPipeError):
                 sys.exit(1)
             raise ConfigError(f"cannot write stdout: {err}") from err
@@ -295,6 +297,8 @@ def _machine_rows(cfg: dict, widths: Optional[Sequence[float]]) -> Iterator[tupl
     """Shared by the quantum-machine and epsilon-sweep scenarios; a width of
     None means the uniform band (reported as epsilon 1, its exact equivalent).
     The sweep runs here; its rows are made as the emitter reads them."""
+    from .machines import machine_sweep
+
     n = cfg["gamma_grid"]
     step = math.pi / (n - 1)
     gammas = [k * step for k in range(n - 1)] + [math.pi]
@@ -317,6 +321,8 @@ def _scenario_epsilon_sweep(cfg: dict) -> tuple[tuple, Iterable[tuple]]:
 
 
 def _scenario_wood_product(cfg: dict) -> tuple[tuple, Iterable[tuple]]:
+    from .product import wood_product_sweep
+
     return WOOD_HEADER, (
         (process.id, report.trials, report.yes, report.p_hat, report.analytic,
          report.wilson_low, report.wilson_high, meet, report.seed)
@@ -326,6 +332,8 @@ def _scenario_wood_product(cfg: dict) -> tuple[tuple, Iterable[tuple]]:
 
 def _scenario_elastic(cfg: dict) -> tuple[tuple, Iterable[tuple]]:
     """The walk runs as the emitter reads its rows."""
+    from .exemplars import break_trajectory
+
     seed = cfg["seed"]
     return ELASTIC_HEADER, (
         (k, step.n_fragments, step.total_length, step.max_fragment,
@@ -335,6 +343,8 @@ def _scenario_elastic(cfg: dict) -> tuple[tuple, Iterable[tuple]]:
 
 
 def _scenario_classify(cfg: dict) -> tuple[tuple, Iterable[tuple]]:
+    from .taxonomy import default_suite, taxonomy_table
+
     return TAXONOMY_HEADER, (
         (row.property_name,
          *(axis.value if axis else "not-decidable"
@@ -390,9 +400,11 @@ def _run(argv: Optional[Sequence[str]]) -> int:
         _emit(cfg, scenario, header, rows, cfg["out"])
 
     if cfg["check"]:
+        from . import checks
+
         failures = []
         for check in _CHECKS_BY_SCENARIO[scenario]:
-            result = check()
+            result = (getattr(checks, check) if isinstance(check, str) else check)()
             if not result.passed:
                 failures.append(result)
                 print(f"check failed: {result.name}: {result.detail}", file=sys.stderr)

@@ -3,6 +3,7 @@ one pass/fail line per criterion (use -s to see the lines on success)."""
 
 import pytest
 
+from obsim import cli
 from obsim.checks import (
     ALL_CHECKS,
     check_compaction_creation,
@@ -25,6 +26,9 @@ CRITERIA = {
 }
 
 assert set(CRITERIA) == set(ALL_CHECKS)
+# the CLI names its checks, so that only --check imports obsim.checks; `all` runs these
+assert cli._CHECKS_BY_SCENARIO["all"] == tuple(check.__name__ for check in ALL_CHECKS)
+assert set().union(*cli._CHECKS_BY_SCENARIO.values()) == set(cli._CHECKS_BY_SCENARIO["all"])
 
 
 @pytest.mark.parametrize("check", ALL_CHECKS, ids=lambda fn: fn.__name__)

@@ -382,9 +382,12 @@ def test_rows_failing_mid_write_leave_the_old_file(tmp_path, monkeypatch, capsys
     assert [p.name for p in tmp_path.iterdir()] == [out.name]
 
 
-def _python_child(stdout, *argv, **popen):
+def _python_child(stdout, *argv, buffered=False, **popen):
+    """``buffered`` gives the child a buffered stdout even where PYTHONUNBUFFERED is set."""
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    if buffered:
+        env.pop("PYTHONUNBUFFERED", None)
     return subprocess.Popen([sys.executable, *argv], stdout=stdout, stderr=subprocess.PIPE,
                             text=True, env=env, **popen)
 
@@ -398,12 +401,13 @@ STDOUT_RUNS = [[scenario, "--trials", "3", "--gamma-grid", "2", "--format", fmt]
                for scenario in cli.SCENARIOS if scenario != "all" for fmt in ("csv", "json")]
 
 # runs each argv list as ``python -m obsim.cli`` does, each in a child forked
-# after one import of obsim (a fresh interpreter per run costs about 0.14 s on
-# a 2-vCPU host), with stdout on a pipe whose reader is gone ("closed") or on
-# a file at that path that may not grow; prints [exit code, stderr] per run
+# after one import of obsim and, through obsim.checks, of every scenario module
+# (a fresh interpreter per run costs about 0.14 s on a 2-vCPU host), with stdout
+# on a pipe whose reader is gone ("closed") or on a file at that path that may
+# not grow; prints [exit code, stderr] per run
 _FORK_EACH = """
 import json, os, resource, signal, sys
-from obsim import cli
+from obsim import checks, cli
 children = []
 for argv, stdout in json.loads(sys.argv[1]):
     err_read, err_write = os.pipe()
@@ -452,6 +456,12 @@ def test_reader_closing_stdout_early_exits_1_without_a_traceback():
     # a reader gone before anything is written: even a report shorter than the
     # pipe's buffer meets EPIPE, at its first flush
     forked = _forked_runs(lambda argv: "closed")
+    # on a buffered stdout that report is still buffered after its failed flush,
+    # so the interpreter's last flush at exit meets the closed pipe once more
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    children["buffered"] = _obsim_child(write_end, "classify", buffered=True)
+    os.close(write_end)
     for child in children.values():
         assert child.wait(timeout=60) == 1
         assert child.stderr.read() == ""  # no traceback, no message
@@ -662,21 +672,25 @@ class TestConfigFile:
 
 def test_cli_run_leaves_scipy_stats_unimported(tmp_path):
     # scipy is a test dependency only, so a run loads no scipy module; numpy
-    # loads only when a run counts outcomes in blocks, never with ``import obsim.cli``
+    # loads only when a run counts outcomes in blocks, never with ``import obsim.cli``,
+    # which loads no other obsim module; a scenario loads only the modules it runs
     src = Path(cli.__file__).resolve().parents[1]
     script = (
         "import sys\n"
         "from obsim import cli\n"
         "numpy_at_import = 'numpy' in sys.modules\n"
+        "obsim_at_import = sorted(m for m in sys.modules if m.startswith('obsim.'))\n"
         f"code = cli.main(['quantum-machine', '--gamma-grid', '3', '--trials', '10', "
         f"'--out', {str(tmp_path / 'qm.csv')!r}])\n"
-        "print(code, any(m.partition('.')[0] == 'scipy' for m in sys.modules), numpy_at_import)\n"
+        "print(code, any(m.partition('.')[0] == 'scipy' for m in sys.modules), numpy_at_import,\n"
+        "      ','.join(obsim_at_import), ','.join(m for m in ('obsim.checks', 'obsim.taxonomy',\n"
+        "      'obsim.product', 'obsim.exemplars') if m in sys.modules) or '-')\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["0", "False", "False"]
+    assert done.stdout.split() == ["0", "False", "False", "obsim.cli", "-"]
 
 
 @pytest.mark.parametrize("n", [2, 3, 13, 25, 101, 1000])
