@@ -7,9 +7,9 @@ Salmon et al., SC 2011). A process's :class:`~obsim.core.FirstDraw` decides
 each draw with the expression its kernel uses, and a trial whose kernel
 would draw again is run by the kernel itself, so every count equals the
 kernel loop's. Where the decision also has ``posts``, a trial's record is
-built from its first draw alone; any other record is the kernel's on a
-stream whose first draw comes from the block. Either way every record
-equals :func:`~obsim.core.observe`'s.
+built from its first draw alone, and it equals :func:`~obsim.core.observe`'s;
+any other record is ``observe``'s own on TrialStream(seed, i), with no
+block of first draws.
 """
 
 from __future__ import annotations
@@ -19,7 +19,9 @@ from itertools import repeat
 
 import numpy as np
 
-from .core import NO, YES, FirstDraw, Kernel, ObservationProcess, ObservationRecord, Outcome
+from .core import (
+    NO, YES, FirstDraw, Kernel, ObservationProcess, ObservationRecord, Outcome, observe,
+)
 from .randomness import _GOLDEN, _INV_2_53, _MASK64, TrialStream
 
 BLOCK = 1 << 14  # trials per block: memory stays flat whatever the trial count
@@ -70,32 +72,6 @@ def count_yes(decision: FirstDraw, kernel: Kernel, state: object, seed: int, tri
     return yes
 
 
-class _PrimedStream:
-    """Trial ``_index``'s stream with its first draw ``_first`` taken from a
-    block: later draws come from TrialStream(seed, _index), built only when
-    the kernel asks for one. ``draws`` is the tuple of every draw handed out.
-    :func:`record_trials` reuses one stream for a whole run and resets
-    ``_first``, ``_index``, ``draws`` and ``_rest`` before each trial."""
-
-    __slots__ = ("draws", "_first", "_seed", "_index", "_rest")
-
-    def __init__(self, seed: int):
-        self.draws: tuple[float, ...] = ()
-        self._first, self._seed, self._index = 0.0, seed, 0
-        self._rest = None
-
-    def draw(self) -> float:
-        if not self.draws:
-            self.draws = (self._first,)
-            return self._first
-        if self._rest is None:
-            self._rest = TrialStream(self._seed, self._index)
-            self._rest.draw()  # the first draw, already handed out
-        value = self._rest.draw()
-        self.draws += (value,)
-        return value
-
-
 def _pair(first: object, second: object) -> np.ndarray:
     # set entry by entry: np.array would unpack a post-state that is a sequence
     table = np.empty(2, dtype=object)
@@ -111,41 +87,31 @@ def record_trials(
     every i in range(trials), on a ``state`` already checked to be of the
     process's scenario, and the number of yes outcomes among them.
     ``decision`` is ``process.first_draw(state)``, or None."""
-    kernel, process_id = process.kernel, process.id
-    # the record tuple built directly: the NamedTuple's own __new__ is a Python call
-    new_tuple = tuple.__new__
-    records = []
-    append = records.append
-    yes = 0
-    decided = isinstance(decision, FirstDraw) and decision.posts is not None
-    if decided:
-        outcome_of, post_of = _pair(NO, YES), _pair(*decision.posts)
-    rng = _PrimedStream(seed)
     # The records are acyclic tuples over shared state objects, so the cyclic
     # GC finds nothing to free in them; left on, it walks the growing list
     # again and again (about a third of the collection time).
     gc_was_on = gc.isenabled()
     gc.disable()
     try:
+        if not (isinstance(decision, FirstDraw) and decision.posts is not None):
+            records = [observe(process, state, TrialStream(seed, i), i)[2] for i in range(trials)]
+            return records, sum(rec.outcome is YES for rec in records)
+        # the record tuple built directly: the NamedTuple's own __new__ is a Python call
+        new_tuple, process_id = tuple.__new__, process.id
+        outcome_of, post_of = _pair(NO, YES), _pair(*decision.posts)
+        records = []
+        yes = 0
         for start in range(0, trials, BLOCK):
             stop = min(start + BLOCK, trials)
             draws = first_draws(seed, start, stop)
-            if decided:
-                # the first draw fixes the outcome and the post, and it is the only draw
-                hit = decision.yes(draws)
-                yes += int(np.count_nonzero(hit))
-                picked = hit.astype(np.intp)
-                records.extend(map(new_tuple, repeat(ObservationRecord), zip(
-                    repeat(process_id), repeat(state), outcome_of[picked].tolist(),
-                    post_of[picked].tolist(), zip(draws.tolist()), range(start, stop))))
-                continue
-            for i, r in enumerate(draws.tolist(), start):
-                rng._first, rng._index, rng.draws, rng._rest = r, i, (), None
-                outcome, post = kernel(state, rng)
-                if outcome is YES:
-                    yes += 1
-                append(new_tuple(ObservationRecord, (process_id, state, outcome, post, rng.draws, i)))
+            # the first draw fixes the outcome and the post, and it is the only draw
+            hit = decision.yes(draws)
+            yes += int(np.count_nonzero(hit))
+            picked = hit.astype(np.intp)
+            records.extend(map(new_tuple, repeat(ObservationRecord), zip(
+                repeat(process_id), repeat(state), outcome_of[picked].tolist(),
+                post_of[picked].tolist(), zip(draws.tolist()), range(start, stop))))
+        return records, yes
     finally:
         if gc_was_on:
             gc.enable()
-    return records, yes

@@ -312,13 +312,3 @@ def check_csv_determinism(seed: int = ACCEPTANCE_SEED) -> CheckResult:
                 failures.append("repeated flag runs differ")
     return _result("csv-determinism", failures, "byte-identical from flags, --config and a rerun")
 
-
-ALL_CHECKS = (
-    check_uniform_curve,
-    check_segment_regime_map,
-    check_product_choice_theorem,
-    check_elastic_suite,
-    check_compaction_creation,
-    check_taxonomy_fixture,
-    check_csv_determinism,
-)

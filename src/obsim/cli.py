@@ -46,8 +46,8 @@ _MAX_EPSILONS = 16
 _DEFAULT_EPSILONS = (0.25, 0.5, 0.75, 1.0)
 _CONFIG_KEYS = ("trials", "seed", "gamma_grid", "epsilon", "out", "format", "workers")
 
-# names in obsim.checks, looked up only under --check; an entry may also be a
-# check itself. Each scenario runner likewise imports its own module when it runs.
+# names in obsim.checks, looked up only under --check. Each scenario runner
+# likewise imports its own module when it runs.
 _CHECKS_BY_SCENARIO = {
     "quantum-machine": ("check_uniform_curve",),
     "epsilon-sweep": ("check_segment_regime_map",),
@@ -404,7 +404,7 @@ def _run(argv: Optional[Sequence[str]]) -> int:
 
         failures = []
         for check in _CHECKS_BY_SCENARIO[scenario]:
-            result = (getattr(checks, check) if isinstance(check, str) else check)()
+            result = getattr(checks, check)()
             if not result.passed:
                 failures.append(result)
                 print(f"check failed: {result.name}: {result.detail}", file=sys.stderr)

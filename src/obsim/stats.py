@@ -72,13 +72,13 @@ def run_trials(
 
     Trial i draws from TrialStream(seed, i) alone, so the report is the same
     however the trials are scheduled: they run in one thread in index order,
-    and ``workers`` is accepted but has no effect. Each trial's first draw
-    for a record is taken from a numpy block; the record is built from that
-    draw alone where the process's ``first_draw`` decision has ``posts``,
-    and by the kernel otherwise. Without records, from ``BLOCKS_FROM``
-    trials on, a process whose ``first_draw`` decides the state has its yes
-    outcomes counted in blocks without a kernel call per trial. Counts and
-    records equal the kernel loop's.
+    and ``workers`` is accepted but has no effect. Where the process's
+    ``first_draw`` decision has ``posts``, each record is built from its
+    trial's first draw alone, taken from a numpy block; any other record is
+    :func:`~obsim.core.observe`'s on TrialStream(seed, i). Without records,
+    from ``BLOCKS_FROM`` trials on, a process whose ``first_draw`` decides
+    the state has its yes outcomes counted in blocks without a kernel call
+    per trial. Counts and records equal the kernel loop's.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")

@@ -168,8 +168,8 @@ def test_block_count_is_the_kernel_loop(case, seed, block, full_blocks, edge):
 @example(case=(LEFT_HANDEDNESS, SUBNORMAL_BAND), seed=0, block=3, full_blocks=5, edge=1)
 @example(case=(LEFT_HANDEDNESS, SUBNORMAL_BAND), seed=2**64 - 1, block=16, full_blocks=2, edge=-1)
 @example(case=TOOTH_TIP, seed=2**64 - 1, block=7, full_blocks=2, edge=0)
-# trials 7 to 11 all draw again, in and across blocks of 2: one stream serves
-# the whole run, so each trial must start it afresh
+# trials 7 to 11 all draw again, in and across blocks of 2: each trial's later
+# draws must come from its own stream
 @example(case=(LEFT_HANDEDNESS, SUBNORMAL_BAND), seed=0, block=2, full_blocks=6, edge=0)
 @example(case=RECORD_CASES[-1], seed=0, block=1, full_blocks=stats.BLOCKS_FROM, edge=0)
 @settings(max_examples=300, deadline=None)
@@ -261,6 +261,10 @@ def test_decided_records_are_built_without_the_kernel(process, state, enabled):
 ])
 def test_decisions_without_posts(process, state):
     assert process.first_draw(state).posts is None
+    # such a record is observe's own on its TrialStream: no block first draw is taken
+    with mock.patch.object(blocks, "first_draws", side_effect=AssertionError("a block draw")):
+        report = run_trials(process, state, 30, 5, collect_records=True)
+    assert list(report.records) == observe_loop(process, state, 30, 5)
 
 
 def test_short_runs_load_no_numpy():

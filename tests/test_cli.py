@@ -18,7 +18,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from obsim import cli
+from obsim import checks, cli
 from obsim.checks import CheckResult
 from obsim.cli import (ELASTIC_HEADER, QM_HEADER, TAXONOMY_HEADER, WOOD_HEADER, emit_csv,
                        emit_json)
@@ -98,7 +98,7 @@ class TestExitCodes:
 
     def test_check_failure_maps_to_exit_3(self, monkeypatch, tmp_path, capsys):
         failing = lambda: CheckResult("stub", False, "synthetic failure")
-        monkeypatch.setitem(cli._CHECKS_BY_SCENARIO, "classify", (failing,))
+        monkeypatch.setattr(checks, "check_taxonomy_fixture", failing)
         out = tmp_path / "t.csv"
         assert run("classify", "--out", str(out), "--check") == 3
         assert "synthetic failure" in capsys.readouterr().err
