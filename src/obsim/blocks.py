@@ -1,4 +1,4 @@
-"""Yes counts and audit records of trials, a block of trial indices at a time.
+"""Yes counts and decided audit records of trials, a block of trial indices at a time.
 
 Trial i's stream starts at ``mix64(s + (i + 1) * GOLDEN)``, so its first draw
 depends on (s, i) alone: a block of first draws is a few uint64 array
@@ -7,21 +7,18 @@ Salmon et al., SC 2011). A process's :class:`~obsim.core.FirstDraw` decides
 each draw with the expression its kernel uses, and a trial whose kernel
 would draw again is run by the kernel itself, so every count equals the
 kernel loop's. Where the decision also has ``posts``, a trial's record is
-built from its first draw alone, and it equals :func:`~obsim.core.observe`'s;
-any other record is ``observe``'s own on TrialStream(seed, i), with no
-block of first draws.
+built from its first draw alone, and it equals :func:`~obsim.core.observe`'s.
+Every other record comes from ``stats.run_trials``' own ``observe`` loop,
+with no numpy, and ``run_trials`` pauses the cyclic GC around both kinds.
 """
 
 from __future__ import annotations
 
-import gc
 from itertools import repeat
 
 import numpy as np
 
-from .core import (
-    NO, YES, FirstDraw, Kernel, ObservationProcess, ObservationRecord, Outcome, observe,
-)
+from .core import NO, YES, FirstDraw, Kernel, ObservationRecord
 from .randomness import _GOLDEN, _INV_2_53, _MASK64, TrialStream
 
 BLOCK = 1 << 14  # trials per block: memory stays flat whatever the trial count
@@ -56,15 +53,20 @@ def first_draws(seed: int, start: int, stop: int) -> np.ndarray:
     return r
 
 
+def _blocks(decision: FirstDraw, seed: int, trials: int):
+    """``(start, first draws, decision.yes on them)`` per block of range(trials)."""
+    for start in range(0, trials, BLOCK):
+        draws = first_draws(seed, start, min(start + BLOCK, trials))
+        yield start, draws, decision.yes(draws)
+
+
 def count_yes(decision: FirstDraw, kernel: Kernel, state: object, seed: int, trials: int) -> int:
     """Yes outcomes of ``kernel`` on ``state`` over TrialStream(seed, i),
     i in range(trials), each decided on its first draw by ``decision``."""
     yes = 0
-    for start in range(0, trials, BLOCK):
-        r = first_draws(seed, start, min(start + BLOCK, trials))
-        hit = decision.yes(r)
+    for start, draws, hit in _blocks(decision, seed, trials):
         if decision.kept is not None:
-            kept = decision.kept(r)
+            kept = decision.kept(draws)
             hit &= kept
             for i in np.flatnonzero(~kept).tolist():  # the kernel draws again
                 yes += kernel(state, TrialStream(seed, start + i))[0] is YES
@@ -79,39 +81,21 @@ def _pair(first: object, second: object) -> np.ndarray:
     return table
 
 
-def record_trials(
-    process: ObservationProcess, state: object, seed: int, trials: int,
-    decision: Outcome | FirstDraw | None,
+def decided_records(
+    decision: FirstDraw, process_id: str, state: object, seed: int, trials: int
 ) -> tuple[list, int]:
-    """``observe(process, state, TrialStream(seed, i), index=i)``'s record for
-    every i in range(trials), on a ``state`` already checked to be of the
-    process's scenario, and the number of yes outcomes among them.
-    ``decision`` is ``process.first_draw(state)``, or None."""
-    # The records are acyclic tuples over shared state objects, so the cyclic
-    # GC finds nothing to free in them; left on, it walks the growing list
-    # again and again (about a third of the collection time).
-    gc_was_on = gc.isenabled()
-    gc.disable()
-    try:
-        if not (isinstance(decision, FirstDraw) and decision.posts is not None):
-            records = [observe(process, state, TrialStream(seed, i), i)[2] for i in range(trials)]
-            return records, sum(rec.outcome is YES for rec in records)
-        # the record tuple built directly: the NamedTuple's own __new__ is a Python call
-        new_tuple, process_id = tuple.__new__, process.id
-        outcome_of, post_of = _pair(NO, YES), _pair(*decision.posts)
-        records = []
-        yes = 0
-        for start in range(0, trials, BLOCK):
-            stop = min(start + BLOCK, trials)
-            draws = first_draws(seed, start, stop)
-            # the first draw fixes the outcome and the post, and it is the only draw
-            hit = decision.yes(draws)
-            yes += int(np.count_nonzero(hit))
-            picked = hit.astype(np.intp)
-            records.extend(map(new_tuple, repeat(ObservationRecord), zip(
-                repeat(process_id), repeat(state), outcome_of[picked].tolist(),
-                post_of[picked].tolist(), zip(draws.tolist()), range(start, stop))))
-        return records, yes
-    finally:
-        if gc_was_on:
-            gc.enable()
+    """``observe``'s record on TrialStream(seed, i), i in range(trials), built from its
+    first draw alone by a ``decision`` with ``posts``, and the yes count among them."""
+    # the record tuple built directly: the NamedTuple's own __new__ is a Python call
+    new_tuple = tuple.__new__
+    outcome_of, post_of = _pair(NO, YES), _pair(*decision.posts)
+    records = []
+    yes = 0
+    for start, draws, hit in _blocks(decision, seed, trials):
+        # the first draw fixes the outcome and the post, and it is the only draw
+        yes += int(np.count_nonzero(hit))
+        picked = hit.astype(np.intp)
+        records.extend(map(new_tuple, repeat(ObservationRecord), zip(
+            repeat(process_id), repeat(state), outcome_of[picked].tolist(),
+            post_of[picked].tolist(), zip(draws.tolist()), range(start, start + len(draws)))))
+    return records, yes

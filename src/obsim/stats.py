@@ -10,12 +10,13 @@ elastic band, is ``exemplars.break_trajectory``.
 
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Optional, Sequence
 
-from .core import YES, ObservationProcess, Outcome
+from .core import YES, FirstDraw, ObservationProcess, Outcome, observe
 from .randomness import TrialStream, substream_seed
 
 
@@ -74,11 +75,12 @@ def run_trials(
     however the trials are scheduled: they run in one thread in index order,
     and ``workers`` is accepted but has no effect. Where the process's
     ``first_draw`` decision has ``posts``, each record is built from its
-    trial's first draw alone, taken from a numpy block; any other record is
-    :func:`~obsim.core.observe`'s on TrialStream(seed, i). Without records,
-    from ``BLOCKS_FROM`` trials on, a process whose ``first_draw`` decides
-    the state has its yes outcomes counted in blocks without a kernel call
-    per trial. Counts and records equal the kernel loop's.
+    trial's first draw, taken from a numpy block; any other record is
+    :func:`~obsim.core.observe`'s on TrialStream(seed, i), with no numpy, and
+    the cyclic GC is paused while records are built. Without records, from
+    ``BLOCKS_FROM`` trials on, a process whose ``first_draw`` decides the
+    state has its yes outcomes counted in blocks without a kernel call per
+    trial. Counts and records equal the kernel loop's.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
@@ -91,16 +93,29 @@ def run_trials(
     decision = None
     if (trials >= BLOCKS_FROM or collect_records) and process.first_draw is not None:
         decision = process.first_draw(initial_state)
-    records = None
     kernel = process.kernel
     if collect_records:
-        from .blocks import record_trials  # numpy: only a run that records or counts in blocks
+        # The records are acyclic tuples over shared state objects, so the cyclic
+        # GC finds nothing to free in them; left on, it walks the growing list
+        # again and again (about a third of the collection time).
+        gc_was_on = gc.isenabled()
+        gc.disable()
+        try:
+            if isinstance(decision, FirstDraw) and decision.posts is not None:
+                from .blocks import decided_records  # numpy: only a decision with posts
 
-        records, yes = record_trials(process, initial_state, seed, trials, decision)
+                records, yes = decided_records(decision, process.id, initial_state, seed, trials)
+            else:
+                records = [observe(process, initial_state, TrialStream(seed, i), i)[2]
+                           for i in range(trials)]
+                yes = sum(rec.outcome is YES for rec in records)
+        finally:
+            if gc_was_on:
+                gc.enable()
     elif isinstance(decision, Outcome):
         yes = trials if decision is YES else 0
     elif decision is not None:
-        from .blocks import count_yes
+        from .blocks import count_yes  # numpy: only a count in blocks
 
         yes = count_yes(decision, kernel, initial_state, seed, trials)
     else:
@@ -110,7 +125,7 @@ def run_trials(
     low, high = wilson_interval(yes, trials, 0.99)
     return TrialReport(
         trials, yes, p_hat, low, high, analytic, seed,
-        tuple(records) if records is not None else None,
+        tuple(records) if collect_records else None,
     )
 
 

@@ -243,9 +243,18 @@ def raising_kernel(state, rng):
 def test_decided_records_are_built_without_the_kernel(process, state, enabled):
     assert process.first_draw(state).posts is not None
     decided = dataclasses.replace(process, kernel=raising_kernel)
-    with collector(enabled), mock.patch.object(blocks, "BLOCK", 7):
+    gc_on = []  # whether the collector was on as each block was drawn
+    draw_block = blocks.first_draws
+
+    def watched_first_draws(*args):
+        gc_on.append(gc.isenabled())
+        return draw_block(*args)
+
+    with collector(enabled), mock.patch.object(blocks, "BLOCK", 7), \
+            mock.patch.object(blocks, "first_draws", watched_first_draws):
         report = run_trials(decided, state, 30, 5, collect_records=True)
         assert gc.isenabled() is enabled
+    assert gc_on == [False] * 5  # 30 trials in blocks of 7, all built with the GC paused
     expected = observe_loop(process, state, 30, 5)
     assert list(report.records) == expected
     assert report.yes == sum(rec.outcome is YES for rec in expected)
@@ -269,17 +278,23 @@ def test_decisions_without_posts(process, state):
 
 def test_short_runs_load_no_numpy():
     # below the cut-over the kernel loop counts, and the coin's first_draw
-    # (whose mixed pick table is a numpy array) is not asked
+    # (whose mixed pick table is a numpy array) is not asked; a record run
+    # whose decision has no posts is observe's loop, whatever its length
     src = Path(stats.__file__).resolve().parents[1]
     script = (
         "import sys\n"
-        "from obsim import (DRY_INTACT, FLOATABILITY, NON_BURNABILITY, ElasticApparatus,\n"
-        "    ProductObservation, UniformBreak, product_process, quantum_machine_process,\n"
-        "    run_trials, sphere_point_at, stats)\n"
+        "from obsim import (DRY_INTACT, FLOATABILITY, LEFT_HANDEDNESS, NON_BURNABILITY,\n"
+        "    ElasticApparatus, ElasticBandState, LinePosition, ProductObservation, SawtoothRuler,\n"
+        "    UniformBreak, product_process, quantum_machine_process, run_trials,\n"
+        "    sawtooth_position_process, sphere_point_at, stats)\n"
         "coin = product_process(ProductObservation((NON_BURNABILITY, FLOATABILITY)))\n"
         "uniform = quantum_machine_process(ElasticApparatus((0.0, 0.0, 1.0), 1.0, UniformBreak()))\n"
         "for process, state in ((coin, DRY_INTACT), (uniform, sphere_point_at(1.0))):\n"
         "    run_trials(process, state, stats.BLOCKS_FROM - 1, 0)\n"
+        "tooth_tip = sawtooth_position_process(SawtoothRuler(), 0), LinePosition(0.5)\n"
+        "for process, state in ((LEFT_HANDEDNESS, ElasticBandState.unbroken(1.0)), tooth_tip):\n"
+        "    for trials in (5, stats.BLOCKS_FROM + 100):\n"
+        "        run_trials(process, state, trials, 0, collect_records=True)\n"
         "print('numpy' in sys.modules)\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
