@@ -80,11 +80,15 @@ class FirstDraw:
     nothing after ``r`` and returns that post-state (that very object, or one
     equal to it), so a trial's audit record follows from ``r`` alone.
     ``posts`` and ``kept`` are never both set.
+
+    ``always``, unless None, is the outcome every draw in [0, 1) gives: a
+    count takes no draws, and a record still holds its first draw.
     """
 
     yes: Callable[[Any], Any]
     kept: Optional[Callable[[Any], Any]] = None
     posts: Optional[tuple[object, object]] = None
+    always: Optional[Outcome] = None
 
 
 def pick_decision(
@@ -127,9 +131,10 @@ class ObservationProcess:
     first_draw    optional map from a state to the Outcome every trial there
                   gives, to a FirstDraw when the first draw decides the
                   outcome (see FirstDraw for what it promises), or to None;
-                  ``stats.run_trials`` uses it to count yes outcomes, and to
-                  build records where the decision has ``posts``, without
-                  running the kernel trial by trial.
+                  ``stats.run_trials`` uses it to count yes outcomes, with no
+                  draws where the decision has ``always``, and to build
+                  records where it has ``posts``, without running the kernel
+                  trial by trial.
     """
 
     id: str

@@ -33,7 +33,7 @@ from typing import Iterator, Optional, Sequence, Union
 from .core import (
     NO, YES, Branch, FirstDraw, ObservationProcess, Outcome, yes_no_branches,
 )
-from .randomness import DrawSource, SequenceStream, pick
+from .randomness import _LAST_DRAW, DrawSource, SequenceStream, pick
 from .stats import TrialReport, sweep
 
 _NORM_TOL = 1e-9
@@ -217,7 +217,10 @@ def quantum_machine_process(apparatus: ElasticApparatus, id: str | None = None) 
         if yes_test is None:
             return kernel(state, SequenceStream(()))[0]
         c = _cos_between(state.direction, rho, minus_rho)
-        return FirstDraw(lambda r: yes_test(r, c), posts=(post_minus, post_plus))
+        # r - 0.5 is exact and the scale >= 0: the yes draws are a prefix of [0, 1)
+        first, last = yes_test(0.0, c), yes_test(_LAST_DRAW, c)
+        always = None if first != last else YES if first else NO
+        return FirstDraw(lambda r: yes_test(r, c), posts=(post_minus, post_plus), always=always)
 
     def analytic(state: SpherePoint) -> float:
         return _prob_from_cos(_cos_between(state.direction, rho, minus_rho), profile)

@@ -21,6 +21,7 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _SUBSTREAM_SALT = 0xD1B54A32D192ED03
 _INV_2_53 = 1.0 / (1 << 53)
+_LAST_DRAW = 1.0 - _INV_2_53  # the largest draw a stream gives
 
 
 def _mix64(z: int) -> int:

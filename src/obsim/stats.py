@@ -80,7 +80,8 @@ def run_trials(
     the cyclic GC is paused while records are built. Without records, from
     ``BLOCKS_FROM`` trials on, a process whose ``first_draw`` decides the
     state has its yes outcomes counted in blocks without a kernel call per
-    trial. Counts and records equal the kernel loop's.
+    trial, and with no draws at all where the decision is an ``Outcome`` or
+    has ``always``. Counts and records equal the kernel loop's.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
@@ -114,6 +115,8 @@ def run_trials(
                 gc.enable()
     elif isinstance(decision, Outcome):
         yes = trials if decision is YES else 0
+    elif decision is not None and decision.always is not None:  # no draw moves it
+        yes = trials if decision.always is YES else 0
     elif decision is not None:
         from .blocks import count_yes  # numpy: only a count in blocks
 

@@ -158,7 +158,10 @@ def test_block_count_is_the_kernel_loop(case, seed, block, full_blocks, edge):
     counter = mock.Mock(wraps=blocks.count_yes)
     with mock.patch.object(blocks, "BLOCK", block), mock.patch.object(blocks, "count_yes", counter):
         report = run_trials(process, state, trials, seed)
-    in_blocks = trials >= stats.BLOCKS_FROM and isinstance(process.first_draw(state), FirstDraw)
+    decision = process.first_draw(state)
+    # a decision that every draw answers alike counts with no draws
+    in_blocks = (trials >= stats.BLOCKS_FROM and isinstance(decision, FirstDraw)
+                 and decision.always is None)
     assert counter.called == in_blocks
     assert report.records is None
     assert report.yes == sum(rec.outcome is YES for rec in observe_loop(process, state, trials, seed))
@@ -279,7 +282,8 @@ def test_decisions_without_posts(process, state):
 def test_short_runs_load_no_numpy():
     # below the cut-over the kernel loop counts, and the coin's first_draw
     # (whose mixed pick table is a numpy array) is not asked; a record run
-    # whose decision has no posts is observe's loop, whatever its length
+    # whose decision has no posts is observe's loop, whatever its length; and
+    # a count at a pole takes no draws, whatever its length
     src = Path(stats.__file__).resolve().parents[1]
     script = (
         "import sys\n"
@@ -295,6 +299,8 @@ def test_short_runs_load_no_numpy():
         "for process, state in ((LEFT_HANDEDNESS, ElasticBandState.unbroken(1.0)), tooth_tip):\n"
         "    for trials in (5, stats.BLOCKS_FROM + 100):\n"
         "        run_trials(process, state, trials, 0, collect_records=True)\n"
+        "for pole in (0.0, 3.141592653589793):  # every draw answers alike: none is taken\n"
+        "    run_trials(uniform, sphere_point_at(pole), 10**6, 0)\n"
         "print('numpy' in sys.modules)\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
@@ -336,6 +342,8 @@ def assert_decides_as_kernel(process, state, r):
         assert process.kernel(state, SequenceStream((r, 1.0 - 2.0**-53)))[0] is outcome
     assert bool(decision.yes(r)) is (outcome is YES)
     assert decision.yes(array).tolist() == [outcome is YES] * 2
+    if decision.always is not None:
+        assert outcome is decision.always
 
 
 @pytest.mark.parametrize("process,state,r,yes", [
@@ -372,6 +380,30 @@ def test_redrawn_first_draws(r, kept):
 @settings(max_examples=300, deadline=None)
 def test_decision_is_the_kernel_on_one_draw(case, r):
     assert_decides_as_kernel(*case, r)
+
+
+@pytest.mark.parametrize("process,state", [
+    # a fixed break point draws nothing, so it has no FirstDraw
+    *((machine(p), s) for p in (*PROFILES, SegmentBreak(0.0)) if not isinstance(p, PointBreak)
+      for s in MACHINE_STATES),
+    (machine(UniformBreak()), SpherePoint((1.0, 0.0, 5e-324))),  # a subnormal cos gamma
+    (machine(SegmentBreak(1.0)), SpherePoint((1.0, 0.0, 5e-324))),
+])
+def test_always_is_the_kernel_at_both_ends_of_the_draws(process, state):
+    first, last = (process.kernel(state, SequenceStream((r,)))[0] for r in (0.0, 1.0 - 2.0**-53))
+    assert process.first_draw(state).always is (first if first is last else None)
+
+
+@pytest.mark.parametrize("process,state,yes", [
+    (machine(UniformBreak()), NORTH, True),
+    (machine(UniformBreak()), SOUTH, False),
+    (machine(SegmentBreak(0.25)), sphere_point_at(0.5), True),  # cos gamma 0.88 > 0.25
+])
+def test_certain_machine_counts_take_no_draws(process, state, yes):
+    trials = 10**5
+    assert process.first_draw(state).always is not None
+    with mock.patch.object(blocks, "first_draws", side_effect=AssertionError("a block draw")):
+        assert run_trials(process, state, trials, 3).yes == (trials if yes else 0)
 
 
 @given(r=DRAWS, n=st.integers(1, 10**6))
