@@ -81,28 +81,28 @@ class FirstDraw:
     equal to it), so a trial's audit record follows from ``r`` alone.
     ``posts`` and ``kept`` are never both set.
 
-    ``always``, unless None, is the outcome every draw in [0, 1) gives: a
-    count takes no draws, and a record still holds its first draw.
+    ``always``, unless None, is the outcome every trial gives, whatever it
+    draws: the one spelling of a certain outcome. A count takes no draws,
+    and a record still holds its draws. ``yes`` may be None only beside
+    ``always``, with no ``posts`` or ``kept``, where the decision reads no
+    draw: a kernel that takes none, or a pick whose entries all agree.
     """
 
-    yes: Callable[[Any], Any]
+    yes: Optional[Callable[[Any], Any]] = None
     kept: Optional[Callable[[Any], Any]] = None
     posts: Optional[tuple[object, object]] = None
     always: Optional[Outcome] = None
 
 
-def pick_decision(
-    yes_at: Sequence[bool], posts_at: Optional[Sequence[object]]
-) -> "Outcome | FirstDraw":
+def pick_decision(yes_at: Sequence[bool], posts_at: Optional[Sequence[object]]) -> FirstDraw:
     """The decision of a process whose first draw ``r`` picks entry
     ``pick(r, len(yes_at))`` and whose outcome is then that entry, whatever it
-    draws next. ``posts_at``, unless None, says that the process draws nothing
-    after the pick and moves to that entry's post object; the decision then
-    has ``posts`` when every no-entry has the same post, and every yes-entry."""
-    if all(yes_at):
-        return YES
-    if not any(yes_at):
-        return NO
+    draws next: ``always`` where every entry answers alike, with no numpy.
+    ``posts_at``, unless None, says that the process draws nothing after the
+    pick and moves to that entry's post object; a mixed decision then has
+    ``posts`` when every no-entry has the same post, and every yes-entry."""
+    if all(yes_at) or not any(yes_at):
+        return FirstDraw(always=YES if yes_at[0] else NO)
     import numpy as np  # only block counting reaches a mixed table
 
     table = np.array(yes_at, dtype=bool)
@@ -128,13 +128,12 @@ class ObservationProcess:
     repeat_probs  optional analytic answer for continuum post-state families:
                   the distinct yes-probabilities the process takes over all
                   states reachable via a yes outcome.
-    first_draw    optional map from a state to the Outcome every trial there
-                  gives, to a FirstDraw when the first draw decides the
-                  outcome (see FirstDraw for what it promises), or to None;
-                  ``stats.run_trials`` uses it to count yes outcomes, with no
-                  draws where the decision has ``always``, and to build
-                  records where it has ``posts``, without running the kernel
-                  trial by trial.
+    first_draw    optional map from a state to a FirstDraw when the first
+                  draw decides the outcome or no draw moves it (see FirstDraw
+                  for what it promises), or to None; ``stats.run_trials``
+                  uses it to count yes outcomes, with no draws where the
+                  decision has ``always``, and to build records where it has
+                  ``posts``, without running the kernel trial by trial.
     """
 
     id: str
@@ -144,7 +143,7 @@ class ObservationProcess:
     branches: Optional[Callable[[object], "tuple[Branch, ...]"]] = None
     posts_exact: bool = True
     repeat_probs: Optional[Callable[[object], "tuple[float, ...]"]] = None
-    first_draw: Optional[Callable[[object], "Outcome | FirstDraw | None"]] = None
+    first_draw: Optional[Callable[[object], Optional[FirstDraw]]] = None
 
     def check_scenario(self, state: object) -> None:
         if not isinstance(state, self.scenario):

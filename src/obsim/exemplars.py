@@ -127,7 +127,7 @@ def _deterministic_process(id: str, scenario: type, kernel, analytic) -> Observa
         kernel=kernel,
         analytic=analytic,
         branches=branches,
-        first_draw=lambda state: kernel(state, SequenceStream(()))[0],
+        first_draw=lambda state: FirstDraw(always=kernel(state, SequenceStream(()))[0]),
     )
 
 
@@ -299,7 +299,7 @@ def _pick_process(id: str, compare) -> ObservationProcess:
         k = count(state)
         return yes_no_branches(k / n, state, (n - k) / n, state)
 
-    def first_draw(state: ElasticBandState) -> Outcome | FirstDraw:
+    def first_draw(state: ElasticBandState) -> FirstDraw:
         half = 0.5 * state.original_length
         fragments = state.fragments
         return pick_decision([compare(f, half) for f in fragments], [state] * len(fragments))

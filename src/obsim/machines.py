@@ -213,9 +213,9 @@ def quantum_machine_process(apparatus: ElasticApparatus, id: str | None = None) 
             yes = yes_test(rng.draw(), c)
         return (YES, post_plus) if yes else (NO, post_minus)
 
-    def first_draw(state: SpherePoint) -> Outcome | FirstDraw:
+    def first_draw(state: SpherePoint) -> FirstDraw:
         if yes_test is None:
-            return kernel(state, SequenceStream(()))[0]
+            return FirstDraw(always=kernel(state, SequenceStream(()))[0])
         c = _cos_between(state.direction, rho, minus_rho)
         # r - 0.5 is exact and the scale >= 0: the yes draws are a prefix of [0, 1)
         first, last = yes_test(0.0, c), yes_test(_LAST_DRAW, c)

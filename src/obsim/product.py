@@ -93,15 +93,15 @@ def product_process(prod: ProductObservation) -> ObservationProcess:
 
     def first_draw(state):
         # decided by the pick alone when every component's outcome is fixed at this state
-        outcomes = [c.first_draw and c.first_draw(state) for c in prod.components]
-        if not all(isinstance(o, Outcome) for o in outcomes):
+        decisions = [c.first_draw and c.first_draw(state) for c in prod.components]
+        if not all(d is not None and d.always is not None for d in decisions):
             return None
         try:
             # each post too, where no component draws after the pick
             posts = [c.kernel(state, SequenceStream(()))[1] for c in prod.components]
-        except RuntimeError:  # a component draws: a nested product's own pick
+        except RuntimeError:  # a component draws: a machine, or a nested product's pick
             posts = None
-        return pick_decision([o is YES for o in outcomes], posts)
+        return pick_decision([d.always is YES for d in decisions], posts)
 
     return ObservationProcess(
         id="product(" + ",".join(c.id for c in prod.components) + ")",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Optional, Sequence
 
-from .core import YES, FirstDraw, ObservationProcess, Outcome, observe
+from .core import YES, ObservationProcess, observe
 from .randomness import TrialStream, substream_seed
 
 
@@ -79,9 +79,9 @@ def run_trials(
     :func:`~obsim.core.observe`'s on TrialStream(seed, i), with no numpy, and
     the cyclic GC is paused while records are built. Without records, from
     ``BLOCKS_FROM`` trials on, a process whose ``first_draw`` decides the
-    state has its yes outcomes counted in blocks without a kernel call per
-    trial, and with no draws at all where the decision is an ``Outcome`` or
-    has ``always``. Counts and records equal the kernel loop's.
+    state has its yes outcomes counted with no draws where the decision has
+    ``always``, and otherwise in blocks without a kernel call per trial.
+    Counts and records equal the kernel loop's.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
@@ -102,7 +102,7 @@ def run_trials(
         gc_was_on = gc.isenabled()
         gc.disable()
         try:
-            if isinstance(decision, FirstDraw) and decision.posts is not None:
+            if decision is not None and decision.posts is not None:
                 from .blocks import decided_records  # numpy: only a decision with posts
 
                 records, yes = decided_records(decision, process.id, initial_state, seed, trials)
@@ -113,8 +113,6 @@ def run_trials(
         finally:
             if gc_was_on:
                 gc.enable()
-    elif isinstance(decision, Outcome):
-        yes = trials if decision is YES else 0
     elif decision is not None and decision.always is not None:  # no draw moves it
         yes = trials if decision.always is YES else 0
     elif decision is not None:

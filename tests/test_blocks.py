@@ -46,12 +46,12 @@ from obsim import (
     sphere_point_at,
 )
 from obsim import blocks, stats
-from obsim.core import YES, FirstDraw, Outcome
+from obsim.core import YES, FirstDraw
 from obsim.randomness import first_draws, pick
 
 
-def machine(profile):
-    return quantum_machine_process(ElasticApparatus((0.0, 0.0, 1.0), 1.0, profile))
+def machine(profile, orientation=(0.0, 0.0, 1.0)):
+    return quantum_machine_process(ElasticApparatus(orientation, 1.0, profile))
 
 
 EQUATOR = SpherePoint((1.0, 0.0, 0.0))  # cos gamma exactly 0: every draw at 0.5 is a tie
@@ -83,8 +83,15 @@ BLOCK_CASES = [(machine(p), s) for p in PROFILES for s in MACHINE_STATES] + [
     (NESTED, DRY_INTACT),
     (BURNABILITY, DRY_INTACT),
     (INCOMPRESSIBILITY, SolidState(1.0, 0.5)),
+    # machines at their poles: the pick decides, and then the chosen machine draws
+    (product_process(ProductObservation((machine(UniformBreak()), machine(UniformBreak())))),
+     NORTH),  # +z with +z: always yes
+    (product_process(ProductObservation(
+        (machine(UniformBreak()), machine(UniformBreak(), (0.0, 0.0, -1.0))))), NORTH),  # +z, -z
 ]
-FIRST_DRAW_CASES = [(p, s) for p, s in BLOCK_CASES if isinstance(p.first_draw(s), FirstDraw)]
+FIRST_DRAW_CASES = [(p, s) for p, s in BLOCK_CASES if p.first_draw(s).yes is not None]
+# decided with no draw read: a kernel that takes none, or a pick whose entries all answer alike
+CERTAIN_CASES = [(p, s) for p, s in BLOCK_CASES if p.first_draw(s).yes is None]
 TOOTH_TIP = (sawtooth_position_process(SawtoothRuler(), 0), LinePosition(0.5))
 # the pick and then the chosen machine: every trial draws twice
 TWO_MACHINES = product_process(
@@ -109,7 +116,9 @@ def observe_loop(process, state, trials, seed):
 def test_every_case_is_decided_without_the_kernel_loop():
     assert len(FIRST_DRAW_CASES) >= 20
     for process, state in BLOCK_CASES:
-        assert isinstance(process.first_draw(state), (Outcome, FirstDraw)), process.id
+        decision = process.first_draw(state)
+        assert isinstance(decision, FirstDraw), process.id
+        assert decision.yes is not None or decision.always is not None, process.id
 
 
 @given(
@@ -151,6 +160,9 @@ BLOCK_EDGES = dict(
 @example(case=(LEFT_HANDEDNESS, SUBNORMAL_BAND), seed=2**64 - 1, block=5, full_blocks=3, edge=-1)
 @example(case=BLOCK_CASES[0], seed=0, block=1, full_blocks=stats.BLOCKS_FROM, edge=-1)
 @example(case=BLOCK_CASES[0], seed=0, block=1, full_blocks=stats.BLOCKS_FROM, edge=0)
+# two machines at a pole: +z with -z counts in blocks, +z with +z takes no draws
+@example(case=BLOCK_CASES[-1], seed=0, block=3, full_blocks=4, edge=1)
+@example(case=BLOCK_CASES[-2], seed=0, block=3, full_blocks=4, edge=1)
 @settings(max_examples=400, deadline=None)
 def test_block_count_is_the_kernel_loop(case, seed, block, full_blocks, edge):
     process, state = case
@@ -160,8 +172,7 @@ def test_block_count_is_the_kernel_loop(case, seed, block, full_blocks, edge):
         report = run_trials(process, state, trials, seed)
     decision = process.first_draw(state)
     # a decision that every draw answers alike counts with no draws
-    in_blocks = (trials >= stats.BLOCKS_FROM and isinstance(decision, FirstDraw)
-                 and decision.always is None)
+    in_blocks = trials >= stats.BLOCKS_FROM and decision.always is None
     assert counter.called == in_blocks
     assert report.records is None
     assert report.yes == sum(rec.outcome is YES for rec in observe_loop(process, state, trials, seed))
@@ -324,8 +335,18 @@ def test_block_edges_at_the_real_block_size(seed):
 def assert_decides_as_kernel(process, state, r):
     """The decision on draw ``r`` as a float, as a float64 array, and the
     kernel's, whatever the kernel draws after ``r``; where the decision has
-    posts, the kernel draws nothing more and moves to the post it names."""
+    posts, the kernel draws nothing more and moves to the post it names. A
+    decision without ``yes`` is ``always``, the kernel's answer on ``r`` and
+    on the draws 0.0 and 1 - 2**-53, wherever they fall."""
     decision = process.first_draw(state)
+    if decision.yes is None:
+        assert decision.always is not None
+        assert decision.kept is None and decision.posts is None
+        ends = (r, 0.0, 1.0 - 2.0**-53)
+        for first in ends:
+            for second in ends:  # a pick, then the chosen machine's break
+                assert process.kernel(state, SequenceStream((first, second)))[0] is decision.always
+        return
     array = np.array([r, r], dtype=np.float64)
     if decision.kept is not None:
         assert decision.posts is None
@@ -382,10 +403,14 @@ def test_decision_is_the_kernel_on_one_draw(case, r):
     assert_decides_as_kernel(*case, r)
 
 
+@pytest.mark.parametrize("process,state", CERTAIN_CASES)
+def test_a_decision_without_yes_is_the_kernel_on_any_draw(process, state):
+    assert_decides_as_kernel(process, state, 0.5)
+
+
 @pytest.mark.parametrize("process,state", [
-    # a fixed break point draws nothing, so it has no FirstDraw
-    *((machine(p), s) for p in (*PROFILES, SegmentBreak(0.0)) if not isinstance(p, PointBreak)
-      for s in MACHINE_STATES),
+    # a fixed break point draws nothing: always is its one outcome
+    *((machine(p), s) for p in (*PROFILES, SegmentBreak(0.0)) for s in MACHINE_STATES),
     (machine(UniformBreak()), SpherePoint((1.0, 0.0, 5e-324))),  # a subnormal cos gamma
     (machine(SegmentBreak(1.0)), SpherePoint((1.0, 0.0, 5e-324))),
 ])

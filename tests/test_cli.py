@@ -242,6 +242,26 @@ class TestOutputs:
         assert out.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["band.csv"]
 
+    def test_failed_rename_in_all_leaves_every_old_file(self, tmp_path, monkeypatch, capsys):
+        out, fresh = tmp_path / "bundle", tmp_path / "fresh"
+        assert run("all", "--trials", "20", "--seed", "1", "--out", str(out)) == 0
+        assert run("all", "--trials", "20", "--seed", "2", "--out", str(fresh)) == 0
+        before = _tree(out)
+        assert _tree(fresh) != before  # the refused run would change the bundle
+        replace, targets = os.replace, []
+
+        def refuse_first(src, dst):
+            targets.append(dst)
+            if len(targets) == 1:
+                raise OSError("rename refused")
+            replace(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", refuse_first)
+        assert run("all", "--trials", "20", "--seed", "2", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"--out {targets[0]}" in err and "Traceback" not in err
+        assert _tree(out) == before  # no file renamed, and no .tmp file left
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_fifo_target_is_written_through(self, tmp_path):
         # a device or pipe (/dev/null, /dev/stdout, <(...)) must not be renamed over
@@ -659,6 +679,13 @@ class TestConfigFile:
         assert run("epsilon-sweep", "--config", str(config), "--out", str(out)) == 0
         eps_values = {row[1] for row in read_rows(out)[1:]}
         assert eps_values == {"0.25", "0.75"}
+
+    def test_unknown_format_in_config_rejected(self, tmp_path, capsys):
+        config = tmp_path / "xml.cfg"
+        config.write_text("format = xml\n", encoding="utf-8")
+        assert run("quantum-machine", "--config", str(config)) == 2
+        err = capsys.readouterr().err
+        assert "--format" in err and "xml" in err and "Traceback" not in err
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert run("quantum-machine", "--config", "/nonexistent.cfg") == 2

@@ -23,8 +23,9 @@ from obsim import (
     SolidState,
     TrialStream,
     break_trajectory,
+    run_trials,
 )
-from obsim import exemplars
+from obsim import exemplars, stats
 from obsim.core import NO, YES
 from obsim.exemplars import _units, _walk
 
@@ -174,6 +175,10 @@ class TestLeftHandedness:
         assert stream.draws == []
         with pytest.raises(ValueError, match="cannot break"):
             LEFT_HANDEDNESS.branches(state)
+        # no first draw decides it, and a count long enough for blocks runs the kernel
+        assert LEFT_HANDEDNESS.first_draw(state) is None
+        with pytest.raises(ValueError, match="cannot break"):
+            run_trials(LEFT_HANDEDNESS, state, stats.BLOCKS_FROM, 0)
 
     def test_the_shortest_breakable_fragment_breaks(self):
         outcome, post = LEFT_HANDEDNESS.kernel(

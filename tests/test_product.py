@@ -10,6 +10,7 @@ from obsim import (
     NON_BURNABILITY,
     ProductObservation,
     PropertyDef,
+    SequenceStream,
     SolidState,
     TrialStream,
     WET_INTACT,
@@ -38,6 +39,25 @@ class TestProductLaw:
             assert process.analytic(state) == product_analytic(
                 ProductObservation((BURNABILITY, FLOATABILITY)), state
             )
+
+    @pytest.mark.parametrize("components", [
+        (NON_BURNABILITY, FLOATABILITY),  # the coin on dry intact wood
+        (BURNABILITY, FLOATABILITY),  # certain on dry intact wood
+        (BURNABILITY, NON_BURNABILITY, FLOATABILITY),
+    ])
+    @pytest.mark.parametrize("state", WOOD_STATES)
+    def test_branches_are_the_kernel_on_each_pick(self, components, state):
+        process = product_process(ProductObservation(components))
+        branches = process.branches(state)
+        n = len(components)
+        assert len(branches) == n  # one branch per wood component: each is deterministic
+        assert math.fsum(b.prob for b in branches) == pytest.approx(1.0, abs=1e-15)
+        yes_mass = math.fsum(b.prob for b in branches if b.outcome is YES)
+        assert yes_mass == pytest.approx(process.analytic(state), abs=1e-15)
+        for k, branch in enumerate(branches):
+            # the draw at the middle of component k's share of [0, 1) picks it
+            got = process.kernel(state, SequenceStream(((k + 0.5) / n,)))
+            assert got == (branch.outcome, branch.post)
 
 
 class TestMeetActual:
