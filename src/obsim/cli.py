@@ -15,11 +15,9 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO
 
 from . import __version__
-
-SCENARIOS = ("quantum-machine", "epsilon-sweep", "wood-product", "elastic", "classify", "all")
 
 QM_HEADER = ("gamma_rad", "epsilon", "analytic_p", "empirical_p", "yes", "trials",
              "wilson_lo", "wilson_hi", "seed")
@@ -29,35 +27,38 @@ WOOD_HEADER = ("product", "trials", "yes", "empirical_p", "analytic_p",
 ELASTIC_HEADER = ("step", "n_fragments", "total_length", "max_fragment",
                   "subhalf_fragments", "fragmentation_p", "seed")
 
-_DEFAULT_TRIALS = {
-    "quantum-machine": 100_000,
-    "epsilon-sweep": 10_000,
-    "wood-product": 10_000,
-    "elastic": 10_000,
-    "classify": 1,
-    "all": 10_000,
+
+class _Scenario(NamedTuple):
+    trials: int  # the default --trials, and the scenario's cap inside 'all'
+    # names in obsim.checks, looked up only under --check. Each scenario runner
+    # likewise imports its own module when it runs.
+    checks: tuple[str, ...]
+    # the --trials bound, checked before any trial runs: a trial count bounds run
+    # time, except for elastic, whose walk keeps a heap entry per fragment
+    max_trials: int = 10_000_000
+    gamma_grid: int = 13  # the default --gamma-grid
+
+
+_SCENARIOS = {
+    "quantum-machine": _Scenario(100_000, ("check_uniform_curve",)),
+    "epsilon-sweep": _Scenario(10_000, ("check_segment_regime_map",), gamma_grid=25),
+    "wood-product": _Scenario(10_000, ("check_product_choice_theorem",
+                                       "check_compaction_creation")),
+    "elastic": _Scenario(10_000, ("check_elastic_suite",), max_trials=200_000),
+    "classify": _Scenario(1, ("check_taxonomy_fixture",)),
 }
-_DEFAULT_GRID = {"quantum-machine": 13, "epsilon-sweep": 25}
-# upper bounds, checked before any trial runs: a trial count bounds run time,
-# except for elastic, whose walk keeps a heap entry per fragment
-_MAX_TRIALS = {**dict.fromkeys(SCENARIOS, 10_000_000), "elastic": 200_000}
+_SCENARIOS["all"] = _Scenario(10_000, (*(check for row in _SCENARIOS.values()
+                                         for check in row.checks), "check_csv_determinism"))
+SCENARIOS = tuple(_SCENARIOS)
+
 _MAX_GAMMA_GRID = 10_000
 _MAX_EPSILONS = 16
 _DEFAULT_EPSILONS = (0.25, 0.5, 0.75, 1.0)
-_CONFIG_KEYS = ("trials", "seed", "gamma_grid", "epsilon", "out", "format", "workers")
 
-# names in obsim.checks, looked up only under --check. Each scenario runner
-# likewise imports its own module when it runs.
-_CHECKS_BY_SCENARIO = {
-    "quantum-machine": ("check_uniform_curve",),
-    "epsilon-sweep": ("check_segment_regime_map",),
-    "wood-product": ("check_product_choice_theorem", "check_compaction_creation"),
-    "elastic": ("check_elastic_suite",),
-    "classify": ("check_taxonomy_fixture",),
-    "all": ("check_uniform_curve", "check_segment_regime_map", "check_product_choice_theorem",
-            "check_elastic_suite", "check_compaction_creation", "check_taxonomy_fixture",
-            "check_csv_determinism"),
-}
+# each config key, spelled as its long flag with "_" for "-", and the parser of its value
+_CONFIG_KEYS = {"trials": int, "seed": int, "gamma_grid": int,
+                "epsilon": lambda text: [float(tok) for tok in text.replace(",", " ").split()],
+                "out": str, "format": str, "workers": int}
 
 
 class ConfigError(Exception):
@@ -149,7 +150,9 @@ def _write_to(out: Optional[Path], write: Callable[[TextIO], None],
 
 
 def _commit(staged: list) -> None:
-    """Rename every staged ``(temp, target)`` pair into place."""
+    """Rename every staged ``(temp, target)`` pair into place, in order. The
+    renames are not one step: if one is refused, the targets renamed before it
+    hold their new bytes, and it and the ones after it keep their old bytes."""
     for tmp, out in staged:
         try:
             os.replace(tmp, out)
@@ -178,12 +181,7 @@ def parse_config_file(path: Path) -> dict:
         try:
             if not value.replace(",", " ").split():
                 raise ValueError("empty value")  # not a silent default or an empty grid
-            if key in ("trials", "seed", "gamma_grid", "workers"):
-                values[key] = int(value)
-            elif key == "epsilon":
-                values[key] = [float(tok) for tok in value.replace(",", " ").split()]
-            else:
-                values[key] = value
+            values[key] = _CONFIG_KEYS[key](value)
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from None
     return values
@@ -196,13 +194,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"obsim {__version__}")
     sub = parser.add_subparsers(dest="scenario", required=True, metavar="|".join(SCENARIOS))
-    for name in SCENARIOS:
+    for name, row in _SCENARIOS.items():
         sp = sub.add_parser(name)
         trials_help = (
-            f"breaks of the band, at most {_MAX_TRIALS[name]}; rows are written as the "
+            f"breaks of the band, at most {row.max_trials}; rows are written as the "
             "walk goes, but its heap grows with every break (peak RSS at the bound, "
             "x86-64 Python 3.11: 50 MB as CSV or JSON)"
-            if name == "elastic" else f"trials per grid point, at most {_MAX_TRIALS[name]}")
+            if name == "elastic" else f"trials per grid point, at most {row.max_trials}")
         sp.add_argument("--trials", type=int, default=None, help=trials_help)
         sp.add_argument("--seed", type=int, default=None, help="64-bit unsigned master seed")
         sp.add_argument("--gamma-grid", type=int, default=None,
@@ -223,15 +221,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _merge_config(args: argparse.Namespace) -> dict:
     scenario = args.scenario
-    cfg = {
-        "trials": _DEFAULT_TRIALS[scenario],
-        "seed": 0,
-        "gamma_grid": _DEFAULT_GRID.get(scenario, 13),
-        "epsilon": None,
-        "out": None,
-        "format": None,
-        "workers": 1,
-    }
+    row = _SCENARIOS[scenario]
+    cfg = {**dict.fromkeys(_CONFIG_KEYS), "trials": row.trials, "seed": 0,
+           "gamma_grid": row.gamma_grid, "workers": 1}
     if args.config is not None:
         cfg.update(parse_config_file(Path(args.config)))
     for key in _CONFIG_KEYS:
@@ -239,8 +231,8 @@ def _merge_config(args: argparse.Namespace) -> dict:
         if flag_value is not None:
             cfg[key] = flag_value
 
-    if not 1 <= cfg["trials"] <= _MAX_TRIALS[scenario]:
-        raise ConfigError(f"--trials must be in [1, {_MAX_TRIALS[scenario]}] for {scenario}, "
+    if not 1 <= cfg["trials"] <= row.max_trials:
+        raise ConfigError(f"--trials must be in [1, {row.max_trials}] for {scenario}, "
                           f"got {cfg['trials']}")
     if not 0 <= cfg["seed"] < 2**64:
         raise ConfigError(f"--seed must be a 64-bit unsigned integer, got {cfg['seed']}")
@@ -388,7 +380,7 @@ def _run(argv: Optional[Sequence[str]]) -> int:
         try:
             for name, runner in _SCENARIO_RUNNERS.items():
                 sub_cfg = dict(cfg)
-                sub_cfg["trials"] = min(cfg["trials"], _DEFAULT_TRIALS[name])
+                sub_cfg["trials"] = min(cfg["trials"], _SCENARIOS[name].trials)
                 header, rows = runner(sub_cfg)
                 _emit(sub_cfg, name, header, rows, _bundle_file(cfg, name), staged)
             _commit(staged)
@@ -403,7 +395,7 @@ def _run(argv: Optional[Sequence[str]]) -> int:
         from . import checks
 
         failures = []
-        for check in _CHECKS_BY_SCENARIO[scenario]:
+        for check in _SCENARIOS[scenario].checks:
             result = getattr(checks, check)()
             if not result.passed:
                 failures.append(result)

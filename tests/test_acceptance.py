@@ -25,9 +25,10 @@ CRITERIA = {
 }
 
 # the CLI names its checks, so that only --check imports obsim.checks; `all` runs these
-ALL_CHECKS = [getattr(checks, name) for name in cli._CHECKS_BY_SCENARIO["all"]]
+ALL_CHECKS = [getattr(checks, name) for name in cli._SCENARIOS["all"].checks]
 assert set(CRITERIA) == set(ALL_CHECKS)
-assert set().union(*cli._CHECKS_BY_SCENARIO.values()) == set(cli._CHECKS_BY_SCENARIO["all"])
+assert set().union(*(row.checks for row in cli._SCENARIOS.values())) == set(
+    cli._SCENARIOS["all"].checks)
 
 
 @pytest.mark.parametrize("check", ALL_CHECKS, ids=lambda fn: fn.__name__)

@@ -84,9 +84,9 @@ class TestExitCodes:
         assert not any(tmp_path.iterdir())
 
     def test_bounds_are_far_from_the_defaults(self):
-        for scenario, trials in cli._DEFAULT_TRIALS.items():
-            assert 10 * trials <= cli._MAX_TRIALS[scenario]
-        assert 10 * max(cli._DEFAULT_GRID.values()) <= cli._MAX_GAMMA_GRID
+        for row in cli._SCENARIOS.values():
+            assert 10 * row.trials <= row.max_trials
+            assert 10 * row.gamma_grid <= cli._MAX_GAMMA_GRID
 
     def test_bad_epsilon(self, capsys):
         assert run("epsilon-sweep", "--epsilon", "1.5", "--trials", "10") == 2
@@ -102,6 +102,22 @@ class TestExitCodes:
         out = tmp_path / "t.csv"
         assert run("classify", "--out", str(out), "--check") == 3
         assert "synthetic failure" in capsys.readouterr().err
+
+    def test_check_runs_the_checks_of_its_row_once_each(self, monkeypatch, tmp_path):
+        ran = []
+        for name, check in list(vars(checks).items()):
+            if name.startswith("check_") and callable(check):
+                stub = lambda name=name: ran.append(name) or CheckResult(name, True, "")
+                monkeypatch.setattr(checks, name, stub)
+        assert run("all", "--trials", "3", "--gamma-grid", "2", "--out", str(tmp_path / "all"),
+                   "--check") == 0
+        assert ran == ["check_uniform_curve", "check_segment_regime_map",
+                       "check_product_choice_theorem", "check_compaction_creation",
+                       "check_elastic_suite", "check_taxonomy_fixture", "check_csv_determinism"]
+        ran.clear()
+        assert run("wood-product", "--trials", "3", "--out", str(tmp_path / "wood.csv"),
+                   "--check") == 0
+        assert ran == ["check_product_choice_theorem", "check_compaction_creation"]
 
     def test_classify_check_passes(self, tmp_path):
         out = tmp_path / "taxonomy.json"
@@ -261,6 +277,28 @@ class TestOutputs:
         err = capsys.readouterr().err
         assert f"--out {targets[0]}" in err and "Traceback" not in err
         assert _tree(out) == before  # no file renamed, and no .tmp file left
+
+    def test_refused_second_rename_in_all_leaves_only_the_first_file_new(self, tmp_path,
+                                                                         monkeypatch, capsys):
+        out, fresh = tmp_path / "bundle", tmp_path / "fresh"
+        assert run("all", "--trials", "20", "--seed", "1", "--out", str(out)) == 0
+        assert run("all", "--trials", "20", "--seed", "2", "--out", str(fresh)) == 0
+        before, new = _tree(out), _tree(fresh)
+        replace, targets = os.replace, []
+
+        def refuse_second(src, dst):
+            targets.append(Path(dst))
+            if len(targets) == 2:
+                raise OSError("rename refused")
+            replace(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", refuse_second)
+        assert run("all", "--trials", "20", "--seed", "2", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"--out {targets[1]}" in err and "Traceback" not in err
+        first = targets[0].name
+        assert new[first] != before[first]
+        assert _tree(out) == {**before, first: new[first]}  # and no .tmp file left
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_fifo_target_is_written_through(self, tmp_path):
@@ -549,8 +587,8 @@ print(json.dumps(results))
 def test_write_over_a_file_size_limit_exits_2_and_keeps_the_old_file(tmp_path):
     # every scenario in both formats, seed 2 over its seed-1 file, under each
     # limit in its own child: a report longer than the limit must fail whole
-    scenarios = ("quantum-machine", "epsilon-sweep", "wood-product", "elastic", "classify")
-    names = [f"{scenario}.{fmt}" for scenario in scenarios for fmt in ("csv", "json")]
+    names = [f"{scenario}.{fmt}" for scenario in cli.SCENARIOS if scenario != "all"
+             for fmt in ("csv", "json")]
 
     def argv(name, seed, out):
         return [name.split(".")[0], "--trials", "3", "--gamma-grid", "2", "--seed", str(seed),
@@ -679,6 +717,33 @@ class TestConfigFile:
         assert run("epsilon-sweep", "--config", str(config), "--out", str(out)) == 0
         eps_values = {row[1] for row in read_rows(out)[1:]}
         assert eps_values == {"0.25", "0.75"}
+
+    @pytest.mark.parametrize("key,value,changes_bytes", [
+        ("trials", "7", True), ("seed", "5", True), ("gamma-grid", "3", True),
+        ("epsilon", "0.25, 0.75", True), ("out", None, False), ("format", "json", True),
+        ("workers", "2", False),
+    ])
+    def test_config_key_gives_the_bytes_of_its_flag(self, tmp_path, capsys, key, value,
+                                                    changes_bytes):
+        small = {"--trials": "20", "--gamma-grid": "3"}
+        small.pop(f"--{key}", None)
+        base = ["epsilon-sweep", *(arg for item in small.items() for arg in item)]
+        reports = {}
+        for via in ("config", "flag", "neither"):
+            out = tmp_path / via / "report.txt"  # an extension that names no format
+            out.parent.mkdir()
+            text = str(out) if key == "out" else value
+            argv = base if key == "out" else [*base, "--out", str(out)]
+            if via == "config":
+                config = tmp_path / "run.cfg"
+                config.write_text(f"{key} = {text}\n", encoding="utf-8")
+                argv = [*argv, "--config", str(config)]
+            elif via == "flag":
+                argv = [*argv, *(arg for tok in text.split(", ") for arg in (f"--{key}", tok))]
+            assert run(*argv) == 0
+            reports[via] = out.read_bytes() if out.exists() else capsys.readouterr().out.encode()
+        assert reports["config"] == reports["flag"]
+        assert (reports["neither"] != reports["flag"]) == changes_bytes
 
     def test_unknown_format_in_config_rejected(self, tmp_path, capsys):
         config = tmp_path / "xml.cfg"
