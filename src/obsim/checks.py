@@ -75,11 +75,24 @@ def check_uniform_curve(seed: int = ACCEPTANCE_SEED, trials: int = 100_000) -> C
 
 @functools.cache
 def _legendre_rule() -> tuple[tuple[float, float], ...]:
-    """The 20-point Gauss-Legendre (node, weight) pairs on [-1, 1]."""
-    from numpy.polynomial.legendre import leggauss  # deferred: ``import obsim.cli`` loads no numpy
-
-    nodes, weights = leggauss(20)
-    return tuple(zip(nodes.tolist(), weights.tolist()))
+    """The 20-point Gauss-Legendre (node, weight) pairs on [-1, 1], nodes
+    ascending: Newton steps on P_20's three-term recurrence from Tricomi's
+    guess to each positive root x, the weight 2 / ((1 - x^2) P_20'(x)^2),
+    and the negative half by symmetry."""
+    upper = []
+    for i in range(10):  # from the largest root down
+        x, step = math.cos(math.pi * (i + 0.75) / 20.5), 1.0
+        while True:  # 3 or 4 steps for each root, and P_20' at the last x
+            p0, p1 = 1.0, x
+            for k in range(2, 21):
+                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+            slope = 20 * (x * p1 - p0) / (x * x - 1.0)
+            if abs(step) < 1e-15:
+                break
+            step = p1 / slope
+            x -= step
+        upper.append((x, 2.0 / ((1.0 - x * x) * slope * slope)))
+    return (*((-x, w) for x, w in upper), *reversed(upper))
 
 
 def segment_prob_oracle(gamma: float, width: float) -> float:

@@ -188,34 +188,32 @@ def parse_config_file(path: Path) -> dict:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """One flat parser: every scenario takes every flag, before or after its name."""
     parser = argparse.ArgumentParser(
         prog="obsim",
         description="simulate observation scenarios and verify their statistics",
     )
+    parser.add_argument("scenario", choices=SCENARIOS, metavar="|".join(SCENARIOS))
     parser.add_argument("--version", action="version", version=f"obsim {__version__}")
-    sub = parser.add_subparsers(dest="scenario", required=True, metavar="|".join(SCENARIOS))
-    for name, row in _SCENARIOS.items():
-        sp = sub.add_parser(name)
-        trials_help = (
-            f"breaks of the band, at most {row.max_trials}; rows are written as the "
-            "walk goes, but its heap grows with every break (peak RSS at the bound, "
-            "x86-64 Python 3.11: 50 MB as CSV or JSON)"
-            if name == "elastic" else f"trials per grid point, at most {row.max_trials}")
-        sp.add_argument("--trials", type=int, default=None, help=trials_help)
-        sp.add_argument("--seed", type=int, default=None, help="64-bit unsigned master seed")
-        sp.add_argument("--gamma-grid", type=int, default=None,
+    parser.add_argument("--trials", type=int, default=None, help=(
+        f"trials per grid point, at most {_SCENARIOS['all'].max_trials}; for elastic, "
+        f"breaks of the band, at most {_SCENARIOS['elastic'].max_trials}: rows are written "
+        "as the walk goes, but its heap grows with every break (peak RSS at the bound, "
+        "x86-64 Python 3.11: 50 MB as CSV or JSON)"))
+    parser.add_argument("--seed", type=int, default=None, help="64-bit unsigned master seed")
+    parser.add_argument("--gamma-grid", type=int, default=None,
                         help="count of equispaced angles on [0, pi] inclusive, "
                         f"at most {_MAX_GAMMA_GRID}")
-        sp.add_argument("--epsilon", type=float, action="append", default=None,
+    parser.add_argument("--epsilon", type=float, action="append", default=None,
                         help=f"segment width in [0, 1]; repeatable, at most {_MAX_EPSILONS} "
                         "times, as the sweep keeps a report per (width, angle) pair in memory")
-        sp.add_argument("--out", type=str, default=None, help="output path (stdout if omitted)")
-        sp.add_argument("--format", choices=("csv", "json"), default=None)
-        sp.add_argument("--check", action="store_true",
+    parser.add_argument("--out", type=str, default=None, help="output path (stdout if omitted)")
+    parser.add_argument("--format", choices=("csv", "json"), default=None)
+    parser.add_argument("--check", action="store_true",
                         help="assert the acceptance criteria for this scenario (exit 3 on failure)")
-        sp.add_argument("--workers", type=int, default=None,
+    parser.add_argument("--workers", type=int, default=None,
                         help="accepted for compatibility; trials always run in one thread")
-        sp.add_argument("--config", type=str, default=None, help="flat key = value config file")
+    parser.add_argument("--config", type=str, default=None, help="flat key = value config file")
     return parser
 
 

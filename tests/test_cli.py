@@ -52,8 +52,11 @@ class TestExitCodes:
         assert run("quantum-machine", "--trials", "0") == 2
         assert "--trials" in capsys.readouterr().err
 
-    def test_unknown_scenario(self):
-        assert run("no-such-scenario") == 2
+    @pytest.mark.parametrize("argv", [[], ["no-such-scenario"], ["--seed", "7"]])
+    def test_missing_or_unknown_scenario_names_the_choices(self, argv, capsys):
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert all(name in err for name in cli.SCENARIOS)
 
     def test_bad_gamma_grid(self, capsys):
         assert run("quantum-machine", "--gamma-grid", "1", "--trials", "10") == 2
@@ -649,6 +652,27 @@ def test_json_rows_are_written_before_the_next_is_drawn():
         row_text = json.dumps(dict(zip(header, row)), indent=2, sort_keys=True)
         before_next = "".join(text for n, text in writes if n == k + 1)
         assert "\n    " + row_text.replace("\n", "\n    ") in before_next
+
+
+@pytest.mark.parametrize("argv", [["--help"], *([name, "--help"] for name in cli.SCENARIOS)])
+def test_help_lists_every_flag_and_both_trial_bounds(argv, capsys):
+    # argparse reads a stray % in a help string only when it prints the help
+    assert run(*argv) == 0
+    page = capsys.readouterr().out
+    flags = [f"--{key.replace('_', '-')}" for key in cli._CONFIG_KEYS] + ["--check", "--config"]
+    assert all(flag in page for flag in flags)
+    assert "10000000" in page and "200000" in page
+
+
+@pytest.mark.parametrize("scenario,flags", [
+    ("classify", ["--seed", "7"]),
+    ("quantum-machine", ["--seed", "7", "--trials", "50", "--gamma-grid", "3"]),
+])
+def test_flags_may_come_before_the_scenario(scenario, flags, capsys):
+    assert run(*flags, scenario) == 0
+    before = capsys.readouterr().out
+    assert run(scenario, *flags) == 0
+    assert capsys.readouterr().out == before
 
 
 @pytest.mark.parametrize("scenario", sorted(cli._SCENARIO_RUNNERS))

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import obsim
 from obsim import (
     ElasticApparatus,
     LinePosition,
@@ -25,7 +30,7 @@ from obsim import (
     sphere_point_at,
     substream_seed,
 )
-from obsim.checks import segment_prob_oracle
+from obsim.checks import _legendre_rule, segment_prob_oracle
 from obsim.core import NO, YES
 from obsim.machines import machine_sweep
 
@@ -174,6 +179,34 @@ class TestSegmentProfile:
     @settings(max_examples=300, deadline=None)
     def test_oracle_is_quad(self, width, gamma):
         assert abs(segment_prob_oracle(gamma, width) - quad_oracle(gamma, width)) <= 1e-12
+
+    def test_legendre_rule_is_numpys(self):
+        # the in-package Newton rule against numpy's eigenvalue rule, imported here only
+        from numpy.polynomial.legendre import leggauss
+
+        nodes, weights = leggauss(20)
+        rule = _legendre_rule()
+        assert len(rule) == 20
+        assert all(a < b for (a, _), (b, _) in zip(rule, rule[1:]))
+        assert max(abs(t - x) for (t, _), x in zip(rule, nodes.tolist())) <= 4e-16
+        assert max(abs(w - v) for (_, w), v in zip(rule, weights.tolist())) <= 4e-15
+        assert abs(math.fsum(w for _, w in rule) - 2.0) <= 1e-15
+
+    def test_oracle_loads_no_numpy_polynomial(self):
+        # in a fresh interpreter, as the quadrature is the package's own
+        src = Path(obsim.__file__).resolve().parents[1]
+        script = (
+            "import sys\n"
+            "from obsim.checks import check_segment_regime_map\n"
+            "result = check_segment_regime_map(trials=200, grid_points=2)\n"
+            "print(result.passed, 'numpy.polynomial' in sys.modules)\n"
+        )
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["True", "False"]
 
     @pytest.mark.parametrize("width", [0.0, 5e-309, 3e-16, 1e-15, math.nan, math.inf, 1.5])
     def test_oracle_rejects_widths_it_cannot_integrate(self, width):
