@@ -9,8 +9,6 @@ angles are radians.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import os
 import sys
@@ -78,6 +76,8 @@ def emit_csv(out: Optional[Path], header: Sequence[str], rows: Iterable[Sequence
              staged: Optional[list] = None) -> None:
     """Fixed-schema CSV: header then rows, 9 significant digits, UTF-8, LF;
     ``staged`` as for :func:`_write_to`."""
+    import csv  # each writer loads its own format's module, so a run loads only one
+
     def write(fh: TextIO) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -86,24 +86,25 @@ def emit_csv(out: Optional[Path], header: Sequence[str], rows: Iterable[Sequence
     _write_to(out, write, staged)
 
 
-# one row object per call, through json's C encoder (``indent`` would force the
-# pure-Python one); the item separator writes the newline and indent of ``indent=2``
-_ROW_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": ")).encode
-
-
 def emit_json(out: Optional[Path], meta: dict, header: Sequence[str],
               rows: Iterable[Sequence], staged: Optional[list] = None) -> None:
     """JSON mirror of the CSV schema: row objects under "rows" plus "meta".
     Values keep their JSON types; floats are rounded like the CSV. Written a
     row at a time, as the bytes of ``json.dumps(report, indent=2, sort_keys=True)``;
     ``staged`` as for :func:`_write_to`."""
+    import json
+
+    # one row object per call, through json's C encoder (``indent`` would force the
+    # pure-Python one); the item separator writes the newline and indent of ``indent=2``
+    encode_row = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": ")).encode
+
     def write(fh: TextIO) -> None:
         meta_text = json.dumps(meta, indent=2, sort_keys=True).replace("\n", "\n  ")
         fh.write(f'{{\n  "meta": {meta_text},\n  "rows": [')
         sep = ""
         for row in rows:
-            text = _ROW_ENCODE({key: float(format(value, ".9g")) if isinstance(value, float)
-                                else value for key, value in zip(header, row)})
+            text = encode_row({key: float(format(value, ".9g")) if isinstance(value, float)
+                               else value for key, value in zip(header, row)})
             fh.write(f"{sep}\n    {{\n      {text[1:-1]}\n    }}")
             sep = ","
         fh.write("\n  ]\n}\n" if sep else "]\n}\n")

@@ -809,6 +809,29 @@ def test_cli_run_leaves_scipy_stats_unimported(tmp_path):
     assert done.stdout.split() == ["0", "False", "False", "obsim.cli", "-"]
 
 
+@pytest.mark.parametrize("argv, loaded", [
+    (["quantum-machine", "--gamma-grid", "3", "--trials", "10", "--out", "qm.csv"], "csv"),
+    (["classify", "--format", "json", "--out", "table.json"], "json"),
+], ids=["csv", "json"])
+def test_cli_run_loads_only_its_own_writers_module(tmp_path, argv, loaded):
+    # ``import obsim.cli`` loads neither report format's module, and a run loads
+    # only its writer's; a fresh interpreter per format, as a module stays loaded
+    src = Path(cli.__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        "from obsim import cli\n"
+        "at_import = [m for m in ('csv', 'json') if m in sys.modules]\n"
+        f"code = cli.main({argv!r})\n"
+        "print(code, ','.join(at_import) or '-', ','.join(m for m in ('csv', 'json') if m in sys.modules))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, cwd=tmp_path, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "-", loaded]
+    assert (tmp_path / argv[-1]).stat().st_size > 0
+
+
 @pytest.mark.parametrize("n", [2, 3, 13, 25, 101, 1000])
 def test_gamma_grid_is_linspace_bit_for_bit(n):
     rows = cli._machine_rows({"gamma_grid": n, "trials": 1, "seed": 0}, None)
