@@ -231,10 +231,9 @@ def is_actual(prop: PropertyDef, state: object) -> bool:
 def repeat_probabilities(process: ObservationProcess, state: object) -> tuple[float, ...]:
     """Analytic yes-probabilities of ``process`` over every state reachable
     from ``state`` via a yes outcome. Empty when yes is unreachable."""
-    p_yes = process.analytic_prob(state)
+    if process.analytic_prob(state) <= 0.0:
+        return ()
     if process.repeat_probs is not None:
-        if p_yes <= 0.0:
-            return ()
         return tuple(process.repeat_probs(state))
     if process.branches is not None and process.posts_exact:
         return tuple(

@@ -55,9 +55,7 @@ def _choose_and_run(
 ) -> tuple[Outcome, object]:
     """The product kernel: pick a component on one draw, run it, adopt its
     outcome and post-state."""
-    chosen = components[pick(rng.draw(), len(components))]
-    chosen.check_scenario(state)
-    return chosen.kernel(state, rng)
+    return components[pick(rng.draw(), len(components))].kernel(state, rng)
 
 
 def product_observe(
@@ -65,6 +63,7 @@ def product_observe(
 ) -> tuple[Outcome, object, str]:
     """Choose a component, run it, adopt its outcome; the chosen component id
     is returned for audit."""
+    prod.components[0].check_scenario(state)
     recorder = RecordingStream(rng)
     outcome, post = _choose_and_run(prod.components, state, recorder)
     # the kernel picked the component on its first draw

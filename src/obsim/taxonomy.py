@@ -106,14 +106,6 @@ class ObservationClassification:
     notes: tuple[str, ...] = ()
 
 
-def _branches_or_raise(process: ObservationProcess, state: object) -> tuple[Branch, ...]:
-    if process.branches is None:
-        raise NotDecidableError(
-            f"process {process.id!r} declares no outcome-branch enumeration"
-        )
-    return process.branches(state)
-
-
 def _confirm(process: ObservationProcess, state: object, want: Branch) -> ObservationRecord:
     """Find a replayable record realizing the witnessed branch, by sampling
     the kernel from the witness state with fixed-seed streams; the post-state
@@ -132,22 +124,20 @@ def _confirm(process: ObservationProcess, state: object, want: Branch) -> Observ
 def effect_verdict(prop: PropertyDef, probe: StateProbe) -> EffectVerdict:
     """Effect classification with witness. See the module docstring for the
     decision rule; priority is creation, then destruction, then invasive
-    discovery."""
+    discovery. Representative posts (``posts_exact=False``) certify neither
+    non-invasiveness nor, from a state where the fact holds, that nothing is
+    destroyed."""
     process = prop.process
-    invasive = False
-    posts_exact_everywhere = True
+    if process.branches is None:
+        raise NotDecidableError(f"process {process.id!r} declares no outcome-branch enumeration")
+    invasive = held_somewhere = False
     creation: Optional[tuple[object, Branch]] = None
     destruction: Optional[tuple[object, Branch]] = None
-    destruction_decidable = True
 
     for state in probe.states:
         held_before = prop.holds_in(state)
-        branches = _branches_or_raise(process, state)
-        if not process.posts_exact:
-            posts_exact_everywhere = False
-            if held_before:
-                destruction_decidable = False
-        for b in branches:
+        held_somewhere |= held_before
+        for b in process.branches(state):
             if b.prob <= 0.0:
                 continue
             if b.post != state:
@@ -160,21 +150,17 @@ def effect_verdict(prop: PropertyDef, probe: StateProbe) -> EffectVerdict:
                 destruction = (state, b)
 
     if not invasive:
-        if posts_exact_everywhere:
+        if process.posts_exact:
             return EffectVerdict(Effect.NON_INVASIVE_DISCOVERY)
         raise NotDecidableError(
             f"process {process.id!r}: representative post-states cannot certify "
             "non-invasiveness"
         )
-    if creation is not None:
-        state, branch = creation
-        record = _confirm(process, state, branch)
-        return EffectVerdict(Effect.INVASIVE_CREATION, state, record)
-    if destruction is not None:
-        state, branch = destruction
-        record = _confirm(process, state, branch)
-        return EffectVerdict(Effect.INVASIVE_DESTRUCTION, state, record)
-    if not destruction_decidable:
+    for effect, found in ((Effect.INVASIVE_CREATION, creation),
+                          (Effect.INVASIVE_DESTRUCTION, destruction)):
+        if found is not None:
+            return EffectVerdict(effect, found[0], _confirm(process, *found))
+    if held_somewhere and not process.posts_exact:
         raise NotDecidableError(
             f"process {process.id!r}: representative post-states cannot rule out "
             "destruction"
@@ -196,11 +182,8 @@ def classify_predictability(process: ObservationProcess, probe: StateProbe) -> P
 
 
 def classify_persistence(prop: PropertyDef, probe: StateProbe) -> Persistence:
-    process = prop.process
     for state in probe.states:
-        if process.analytic_prob(state) <= 0.0:
-            continue  # yes unreachable: nothing to re-observe
-        for p in repeat_probabilities(process, state):
+        for p in repeat_probabilities(prop.process, state):
             if p not in (0.0, 1.0):
                 return Persistence.EPHEMERAL
     return Persistence.INTRINSIC

@@ -37,6 +37,7 @@ from obsim import (
     product_process,
     quantum_machine_process,
     repeat_probabilities,
+    replay,
     run_trials,
     sphere_point_at,
     verify_replay,
@@ -45,6 +46,8 @@ from obsim.core import NO, YES
 
 MACHINE = quantum_machine_process(ElasticApparatus((0.0, 0.0, 1.0), 1.0, UniformBreak()))
 COIN = product_process(ProductObservation((NON_BURNABILITY, FLOATABILITY)))
+# floatability declaring its posts as representatives, with no repeat answer
+LOOSE_FLOATABILITY = dataclasses.replace(FLOATABILITY, posts_exact=False)
 
 ALL_PROCESS_STATES = [
     (BURNABILITY, DRY_INTACT),
@@ -140,6 +143,8 @@ class TestObserve:
             observe(BURNABILITY, SolidState(1.0, 0.0), TrialStream(0))
         with pytest.raises(ScenarioMismatchError):
             observe(MACHINE, DRY_INTACT, TrialStream(0))
+        with pytest.raises(ScenarioMismatchError):
+            observe(COIN, SolidState(1.0, 0.0), TrialStream(0))
 
     def test_record_indexes_and_draw_counts(self):
         _, _, rec = observe(LEFT_HANDEDNESS, ElasticBandState.unbroken(1.0), TrialStream(3), index=7)
@@ -159,6 +164,7 @@ class TestObserve:
     def test_replay_determinism(self, process, state, seed):
         _, _, record = observe(process, state, TrialStream(seed))
         assert verify_replay(process, record)
+        assert replay(process, record) == (record.outcome, record.post_state)
 
     # the other states answer yes and no at every draw: the machine at both
     # poles, the coin on ashes (each component answers there as it does not on dry wood)
@@ -254,6 +260,13 @@ class TestRepeatYesCertain:
     def test_machine_endpoint_stays_certain(self):
         assert repeat_probabilities(MACHINE, sphere_point_at(math.pi / 3)) == (1.0,)
 
+    def test_empty_wherever_yes_is_unreachable(self):
+        # representative posts and no repeat answer: nothing to repeat on ashes
+        assert repeat_probabilities(LOOSE_FLOATABILITY, ASHES) == ()
+        # a declared repeat answer is not read where yes cannot happen
+        unreachable = dataclasses.replace(LEFT_HANDEDNESS, analytic=lambda state: 0.0)
+        assert repeat_probabilities(unreachable, ElasticBandState.unbroken(1.0)) == ()
+
     def test_not_decidable_without_enumeration(self):
         opaque = ObservationProcess(
             "opaque", WoodState, BURNABILITY.kernel, analytic=BURNABILITY.analytic
@@ -263,3 +276,5 @@ class TestRepeatYesCertain:
         bare = ObservationProcess("bare", WoodState, BURNABILITY.kernel)
         with pytest.raises(NotDecidableError):
             repeat_probabilities(bare, DRY_INTACT)
+        with pytest.raises(NotDecidableError):
+            repeat_probabilities(LOOSE_FLOATABILITY, DRY_INTACT)

@@ -168,6 +168,9 @@ class TestRunTrials:
     def test_errors(self):
         with pytest.raises(ScenarioMismatchError):
             run_trials(BURNABILITY, SolidState(1.0, 0.0), 10, seed=0)
+        coin = product_process(ProductObservation((NON_BURNABILITY, FLOATABILITY)))
+        with pytest.raises(ScenarioMismatchError):
+            run_trials(coin, SolidState(1.0, 0.0), 10, seed=0)
         with pytest.raises(ValueError):
             run_trials(BURNABILITY, DRY_INTACT, 0, seed=0)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -11,7 +12,9 @@ from obsim import (
     FRAGMENTATION,
     INCOMPRESSIBILITY,
     LEFT_HANDEDNESS,
+    NO,
     YES,
+    Branch,
     ElasticApparatus,
     ElasticBandState,
     Effect,
@@ -49,6 +52,10 @@ ELASTIC_PROBE = StateProbe(
 MACHINE = quantum_machine_process(ElasticApparatus((0.0, 0.0, 1.0), 1.0, UniformBreak()))
 INTERIOR_GAMMAS = tuple(k * math.pi / 7 for k in range(1, 7))
 SPHERE_PROBE = StateProbe(tuple(sphere_point_at(g) for g in INTERIOR_GAMMAS))
+
+# floatability with the same kernel, analytic and branches, but declaring its
+# posts as representatives, which certify nothing about where a state goes
+LOOSE_FLOATABILITY = dataclasses.replace(FLOATABILITY, posts_exact=False)
 
 
 class TestEffect:
@@ -102,6 +109,33 @@ class TestEffect:
         row = classify(prop, probe)
         assert row.effect is None and row.witness_record is None
         assert any(note.startswith("effect: ") and "machine" in note for note in row.notes)
+
+    @pytest.mark.parametrize("state,why", [
+        (WET_INTACT, "cannot certify non-invasiveness"),  # no branch moves wet wood
+        (DRY_INTACT, "cannot rule out destruction"),  # dry wood floats and gets wet
+    ])
+    def test_representative_posts_leave_effect_undecided(self, state, why):
+        prop = PropertyDef("floatability", LOOSE_FLOATABILITY)
+        probe = StateProbe((state,))
+        with pytest.raises(NotDecidableError, match=why):
+            effect_verdict(prop, probe)
+        row = classify(prop, probe)
+        assert row.effect is None and row.witness_record is None
+        assert any(note.startswith("effect: ") and why in note for note in row.notes)
+
+    def test_zero_probability_branch_is_not_invasive(self):
+        # a certain branch that keeps the state, beside one of probability 0 that
+        # would burn it: a branch that cannot happen neither moves nor destroys
+        def branches(state):
+            outcome = YES if FLOATABILITY.analytic(state) == 1.0 else NO
+            return Branch(outcome, state, 1.0), Branch(NO, ASHES, 0.0)
+
+        still = ObservationProcess(
+            "still", WoodState, lambda state, rng: (branches(state)[0].outcome, state),
+            analytic=FLOATABILITY.analytic, branches=branches,
+        )
+        verdict = effect_verdict(PropertyDef("still", still), WOOD_PROBE)
+        assert verdict.effect is Effect.NON_INVASIVE_DISCOVERY
 
     def test_not_decidable_without_branches(self):
         bare = ObservationProcess(
