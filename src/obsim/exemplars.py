@@ -395,7 +395,8 @@ def break_trajectory(seed: int, breaks: int) -> Iterator[BandStep]:
     """Break the unit band by left-handedness ``breaks`` times, break i on
     TrialStream(seed, i): the one walk that feeds each post-state into the
     next observation. Break i's first draw comes from
-    :func:`~obsim.randomness.first_draws`; a redraw continues that stream.
+    :func:`~obsim.randomness.first_draws`, from numpy wherever numpy is
+    already loaded; a redraw continues that stream.
 
     Yields a :class:`BandStep` for the unbroken band and then after each
     break. While step k is the latest, its ``state()`` is the state that k

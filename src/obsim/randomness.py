@@ -15,6 +15,7 @@ finalizer decorrelates neighbouring streams.
 
 from __future__ import annotations
 
+import sys
 from typing import Iterator, Protocol, Sequence
 
 _MASK64 = (1 << 64) - 1
@@ -22,6 +23,9 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _SUBSTREAM_SALT = 0xD1B54A32D192ED03
 _INV_2_53 = 1.0 / (1 << 53)
 _LAST_DRAW = 1.0 - _INV_2_53  # the largest draw a stream gives
+# first draws listed at a time from numpy: a full 16 Ki block as a list would
+# raise a 10 000-break walk's peak memory by about 0.25 MB
+_DRAWS_PER_LIST = 1024
 
 
 def _mix64(z: int) -> int:
@@ -61,7 +65,15 @@ class TrialStream:
 
 def first_draws(seed: int, stop: int) -> Iterator[float]:
     """``TrialStream(seed, i).draw()`` for every i in range(stop), without
-    building a stream."""
+    building a stream: from :func:`obsim.blocks.first_draws` wherever numpy is
+    already loaded, and one at a time otherwise, as loading numpy costs a
+    fresh run more than the blocks save."""
+    if sys.modules.get("numpy") is not None:
+        from .blocks import first_draws as block_draws
+
+        for start in range(0, stop, _DRAWS_PER_LIST):
+            yield from block_draws(seed, start, min(start + _DRAWS_PER_LIST, stop)).tolist()
+        return
     for i in range(stop):
         yield (_mix64(_mix64(seed + (i + 1) * _GOLDEN) + _GOLDEN) >> 11) * _INV_2_53
 

@@ -45,7 +45,7 @@ from obsim import (
     sawtooth_position_process,
     sphere_point_at,
 )
-from obsim import blocks, stats
+from obsim import blocks, randomness, stats
 from obsim.core import YES, FirstDraw
 from obsim.randomness import first_draws, pick
 
@@ -141,8 +141,14 @@ def test_first_draws_are_the_stream_draws(seed, start, n):
 @settings(max_examples=50, deadline=None)
 def test_pure_python_first_draws_are_the_block_draws(seed, n):
     expected = [TrialStream(seed, i).draw().hex() for i in range(n)]
-    assert [r.hex() for r in first_draws(seed, n)] == expected
+    with pytest.MonkeyPatch.context() as patch:
+        # without numpy loaded, first_draws takes no block
+        patch.delitem(sys.modules, "numpy")
+        patch.setattr(blocks, "first_draws", mock.Mock(side_effect=AssertionError("a block draw")))
+        assert [r.hex() for r in first_draws(seed, n)] == expected
     assert [r.hex() for r in blocks.first_draws(seed, 0, n).tolist()] == expected
+    with mock.patch.object(randomness, "_DRAWS_PER_LIST", 7):  # with numpy loaded
+        assert [r.hex() for r in first_draws(seed, n)] == expected
 
 
 # one short of, on, or one past a block edge, with a small block so edges are cheap;
@@ -290,11 +296,12 @@ def test_decisions_without_posts(process, state):
     assert list(report.records) == observe_loop(process, state, 30, 5)
 
 
-def test_short_runs_load_no_numpy():
+def test_short_runs_load_no_numpy(tmp_path):
     # below the cut-over the kernel loop counts, and the coin's first_draw
     # (whose mixed pick table is a numpy array) is not asked; a record run
-    # whose decision has no posts is observe's loop, whatever its length; and
-    # a count at a pole takes no draws, whatever its length
+    # whose decision has no posts is observe's loop, whatever its length; a
+    # count at a pole takes no draws, whatever its length; and the elastic
+    # walk draws in blocks only where numpy is already loaded
     src = Path(stats.__file__).resolve().parents[1]
     script = (
         "import sys\n"
@@ -312,13 +319,17 @@ def test_short_runs_load_no_numpy():
         "        run_trials(process, state, trials, 0, collect_records=True)\n"
         "for pole in (0.0, 3.141592653589793):  # every draw answers alike: none is taken\n"
         "    run_trials(uniform, sphere_point_at(pole), 10**6, 0)\n"
-        "print('numpy' in sys.modules)\n"
+        "from obsim import break_trajectory, cli\n"
+        "*_, last = break_trajectory(0, 1000)\n"
+        "code = cli.main(['elastic', '--trials', '1000', '--out', 'band.csv'])\n"
+        "print(last.n_fragments, code, 'numpy' in sys.modules)\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, timeout=120)
+                          env=env, cwd=tmp_path, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False"]
+    assert done.stdout.split() == ["1001", "0", "False"]
+    assert len((tmp_path / "band.csv").read_text().splitlines()) == 1002  # a header, 1 001 rows
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])

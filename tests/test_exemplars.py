@@ -1,6 +1,7 @@
 import math
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,7 +26,7 @@ from obsim import (
     break_trajectory,
     run_trials,
 )
-from obsim import exemplars, stats
+from obsim import blocks, exemplars, randomness, stats
 from obsim.core import NO, YES
 from obsim.exemplars import _units, _walk
 
@@ -218,16 +219,30 @@ class TestLeftHandedness:
     )
     @example(seed=0, breaks=2_000)
     @example(seed=2**64 - 1, breaks=2_000)
+    # 7 draws to a list: one short of, on, or one past a list's end, and a third list
+    @example(seed=4, breaks=6)
+    @example(seed=4, breaks=7)
+    @example(seed=4, breaks=8)
+    @example(seed=4, breaks=21)
     @settings(max_examples=10, deadline=None)
-    def test_break_trajectory_is_the_kernel_walk(self, seed, breaks):
+    @pytest.mark.parametrize("numpy_loaded", [True, False], ids=["blocks", "pure"])
+    def test_break_trajectory_is_the_kernel_walk(self, seed, breaks, numpy_loaded):
         state = ElasticBandState.unbroken(1.0)
         steps = 0
-        for i, step in enumerate(break_trajectory(seed, breaks)):
-            if i:
-                _, state = LEFT_HANDEDNESS.kernel(state, TrialStream(seed, i - 1))
-            assert_step_is(step, state)
-            steps += 1
+        with pytest.MonkeyPatch.context() as patch:
+            if numpy_loaded:  # the walk draws from numpy, here 7 at a time
+                patch.setattr(randomness, "_DRAWS_PER_LIST", 7)
+            else:  # the walk draws one at a time
+                patch.delitem(sys.modules, "numpy")
+            drawn = mock.Mock(side_effect=blocks.first_draws)
+            patch.setattr(blocks, "first_draws", drawn)
+            for i, step in enumerate(break_trajectory(seed, breaks)):
+                if i:
+                    _, state = LEFT_HANDEDNESS.kernel(state, TrialStream(seed, i - 1))
+                assert_step_is(step, state)
+                steps += 1
         assert steps == breaks + 1
+        assert drawn.call_count == (-(-breaks // 7) if numpy_loaded else 0)
 
     @pytest.mark.parametrize("draws", [(0.5,), (0.5, 0.25, 0.75), (0.75, 0.5)])
     def test_walk_breaks_the_leftmost_of_equal_lengths(self, draws):
