@@ -34,8 +34,7 @@ _HOMES = {
         "sawtooth_position_process", "sphere_point_at",
     ),
     "product": (
-        "ProductObservation", "meet_actual", "product_analytic", "product_observe",
-        "product_process",
+        "ProductObservation", "meet_actual", "product_observe", "product_process",
     ),
     "randomness": ("RecordingStream", "SequenceStream", "TrialStream", "substream_seed"),
     "stats": (

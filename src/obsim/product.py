@@ -6,7 +6,8 @@ the conjunction. The choice makes the conjunction testable even when the
 component tests are mutually incompatible, and it is the reason a system as
 plain as a piece of wood can respond non-deterministically: the product of
 non-burnability and floatability on dry intact wood answers yes exactly when
-the choice fell on floatability.
+the choice fell on floatability. A product observation is an ordinary
+observation of :func:`product_process`, recorded by :func:`~obsim.core.observe`.
 """
 
 from __future__ import annotations
@@ -20,11 +21,12 @@ from .core import (
     ObservationProcess,
     Outcome,
     is_actual,
+    observe,
     pick_decision,
     PropertyDef,
 )
 from .exemplars import BURNABILITY, DRY_INTACT, FLOATABILITY, NON_BURNABILITY
-from .randomness import DrawSource, RecordingStream, SequenceStream, pick
+from .randomness import DrawSource, SequenceStream, pick
 from .stats import TrialReport, sweep
 
 
@@ -45,10 +47,6 @@ class ProductObservation:
                     f"components mix scenarios: {scenario.__name__} vs {comp.scenario.__name__}"
                 )
 
-    @property
-    def scenario(self) -> type:
-        return self.components[0].scenario
-
 
 def _choose_and_run(
     components: tuple[ObservationProcess, ...], state: object, rng: DrawSource
@@ -61,18 +59,11 @@ def _choose_and_run(
 def product_observe(
     prod: ProductObservation, state: object, rng: DrawSource
 ) -> tuple[Outcome, object, str]:
-    """Choose a component, run it, adopt its outcome; the chosen component id
-    is returned for audit."""
-    prod.components[0].check_scenario(state)
-    recorder = RecordingStream(rng)
-    outcome, post = _choose_and_run(prod.components, state, recorder)
-    # the kernel picked the component on its first draw
-    return outcome, post, prod.components[pick(recorder.draws[0], len(prod.components))].id
-
-
-def product_analytic(prod: ProductObservation, state: object) -> float:
-    """Mean of the component yes-probabilities."""
-    return sum(comp.analytic_prob(state) for comp in prod.components) / len(prod.components)
+    """:func:`~obsim.core.observe` on :func:`product_process`: the outcome and
+    post-state, and for audit the id of the component that the kernel picked
+    on its first draw."""
+    outcome, post, record = observe(product_process(prod), state, rng)
+    return outcome, post, prod.components[pick(record.draws[0], len(prod.components))].id
 
 
 def product_process(prod: ProductObservation) -> ObservationProcess:
@@ -81,7 +72,7 @@ def product_process(prod: ProductObservation) -> ObservationProcess:
     have_branches = all(c.branches is not None for c in prod.components)
 
     def analytic(state):
-        return product_analytic(prod, state)
+        return sum(c.analytic_prob(state) for c in prod.components) / len(prod.components)
 
     def branches(state) -> tuple[Branch, ...]:
         n = len(prod.components)
@@ -104,7 +95,7 @@ def product_process(prod: ProductObservation) -> ObservationProcess:
 
     return ObservationProcess(
         id="product(" + ",".join(c.id for c in prod.components) + ")",
-        scenario=prod.scenario,
+        scenario=prod.components[0].scenario,
         kernel=partial(_choose_and_run, prod.components),
         analytic=analytic if have_analytic else None,
         branches=branches if have_branches else None,

@@ -815,20 +815,22 @@ def test_cli_run_leaves_scipy_stats_unimported(tmp_path):
 ], ids=["csv", "json"])
 def test_cli_run_loads_only_its_own_writers_module(tmp_path, argv, loaded):
     # ``import obsim.cli`` loads neither report format's module, and a run loads
-    # only its writer's; a fresh interpreter per format, as a module stays loaded
+    # only its writer's; a fresh interpreter per format, as a module stays loaded.
+    # Neither run loads ``statistics``: the Wilson bounds' z is a constant
     src = Path(cli.__file__).resolve().parents[1]
     script = (
         "import sys\n"
         "from obsim import cli\n"
         "at_import = [m for m in ('csv', 'json') if m in sys.modules]\n"
         f"code = cli.main({argv!r})\n"
-        "print(code, ','.join(at_import) or '-', ','.join(m for m in ('csv', 'json') if m in sys.modules))\n"
+        "print(code, ','.join(at_import) or '-', ','.join(m for m in ('csv', 'json') if m in sys.modules),\n"
+        "      'statistics' in sys.modules)\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, cwd=tmp_path, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["0", "-", loaded]
+    assert done.stdout.split() == ["0", "-", loaded, "False"]
     assert (tmp_path / argv[-1]).stat().st_size > 0
 
 

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obsim import (
     ASHES,
@@ -16,29 +18,37 @@ from obsim import (
     WET_INTACT,
     is_actual,
     meet_actual,
-    product_analytic,
+    observe,
     product_observe,
     product_process,
     run_trials,
 )
 from obsim.core import YES, NotDecidableError, ObservationProcess, ScenarioMismatchError
+from obsim.randomness import pick
 
 WOOD_STATES = (DRY_INTACT, WET_INTACT, ASHES)
+# the coin, the three-component and the nested product whose records CI replays
+COIN = ProductObservation((NON_BURNABILITY, FLOATABILITY))
+THREE = ProductObservation((BURNABILITY, NON_BURNABILITY, FLOATABILITY))
+NESTED = ProductObservation(
+    (product_process(ProductObservation((BURNABILITY, FLOATABILITY))), NON_BURNABILITY))
 
 
 class TestProductLaw:
     def test_analytic_is_weight_average(self):
-        prod = ProductObservation((BURNABILITY, FLOATABILITY))
-        for state in WOOD_STATES:
-            expected = 0.5 * BURNABILITY.analytic(state) + 0.5 * FLOATABILITY.analytic(state)
-            assert product_analytic(prod, state) == pytest.approx(expected, abs=1e-15)
-
-    def test_process_wrapper_exposes_analytic(self):
         process = product_process(ProductObservation((BURNABILITY, FLOATABILITY)))
         for state in WOOD_STATES:
-            assert process.analytic(state) == product_analytic(
-                ProductObservation((BURNABILITY, FLOATABILITY)), state
-            )
+            expected = 0.5 * BURNABILITY.analytic(state) + 0.5 * FLOATABILITY.analytic(state)
+            assert process.analytic(state) == pytest.approx(expected, abs=1e-15)
+
+    def test_process_wrapper_exposes_analytic(self):
+        for prod in (COIN, THREE, NESTED):
+            process = product_process(prod)
+            for state in WOOD_STATES:
+                mean = sum(c.analytic_prob(state) for c in prod.components) / len(prod.components)
+                assert process.analytic(state) == mean
+        bare = ObservationProcess("bare", type(DRY_INTACT), BURNABILITY.kernel)
+        assert product_process(ProductObservation((bare, FLOATABILITY))).analytic is None
 
     @pytest.mark.parametrize("components", [
         (NON_BURNABILITY, FLOATABILITY),  # the coin on dry intact wood
@@ -77,7 +87,7 @@ class TestMeetActual:
         for comps in ((BURNABILITY, FLOATABILITY), (NON_BURNABILITY, FLOATABILITY)):
             prod = ProductObservation(comps)
             for state in WOOD_STATES:
-                assert meet_actual(prod, state) == (product_analytic(prod, state) == 1.0)
+                assert meet_actual(prod, state) == (product_process(prod).analytic(state) == 1.0)
 
     def test_not_decidable_without_component_analytics(self):
         bare = ObservationProcess("bare", type(DRY_INTACT), BURNABILITY.kernel)
@@ -99,8 +109,21 @@ class TestProductObserve:
 
     def test_scenario_mismatch(self):
         prod = ProductObservation((BURNABILITY, FLOATABILITY))
-        with pytest.raises(ScenarioMismatchError):
+        with pytest.raises(ScenarioMismatchError, match=r"'product\(burnability,floatability\)'"):
             product_observe(prod, SolidState(1.0, 0.0), TrialStream(0))
+
+    @given(prod=st.sampled_from((COIN, THREE, NESTED)), state=st.sampled_from(WOOD_STATES),
+           seed=st.integers(min_value=0, max_value=2**64 - 1),
+           index=st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=200, deadline=None)
+    def test_is_observe_on_the_product_process(self, prod, state, seed, index):
+        outcome, post, chosen = product_observe(prod, state, TrialStream(seed, index))
+        want, want_post, record = observe(product_process(prod), state, TrialStream(seed, index))
+        assert (outcome, post) == (want, want_post)
+        picked = prod.components[pick(record.draws[0], len(prod.components))]
+        assert chosen == picked.id
+        # the chosen component, run on the draws after the pick, gives the product's answer
+        assert picked.kernel(state, SequenceStream(record.draws[1:])) == (outcome, post)
 
     def test_choice_audit(self):
         prod = ProductObservation((BURNABILITY, FLOATABILITY))

@@ -38,7 +38,7 @@ from obsim import (
     wilson_interval,
 )
 from obsim.core import ScenarioMismatchError
-from obsim.stats import _chi_square_sf
+from obsim.stats import Z, _chi_square_sf
 
 
 def machine(profile):
@@ -79,13 +79,18 @@ def wilson_roots_oracle(yes, trials, confidence):
 
 
 class TestWilson:
+    def test_z_is_the_99_percent_normal_quantile(self):
+        from statistics import NormalDist
+
+        assert Z.hex() == NormalDist().inv_cdf(0.5 + 0.5 * 0.99).hex()
+
     def test_boundaries_are_exact(self):
-        assert wilson_interval(0, 10, 0.99)[0] == 0.0
-        assert wilson_interval(10, 10, 0.99)[1] == 1.0
-        assert wilson_interval(0, 1, 0.5)[0] == 0.0
+        assert wilson_interval(0, 10)[0] == 0.0
+        assert wilson_interval(10, 10)[1] == 1.0
+        assert wilson_interval(0, 1)[0] == 0.0
 
     def test_50_of_100_against_root_oracle(self):
-        low, high = wilson_interval(50, 100, 0.99)
+        low, high = wilson_interval(50, 100)
         olow, ohigh = wilson_roots_oracle(50, 100, 0.99)
         assert low == pytest.approx(olow, abs=1e-12)
         assert high == pytest.approx(ohigh, abs=1e-12)
@@ -95,24 +100,21 @@ class TestWilson:
     @given(
         trials=st.integers(min_value=1, max_value=10**6),
         frac=st.floats(min_value=0.0, max_value=1.0),
-        confidence=st.floats(min_value=0.5, max_value=0.999),
     )
     @settings(max_examples=200, deadline=None)
-    def test_interval_brackets_the_estimate(self, trials, frac, confidence):
+    def test_interval_brackets_the_estimate(self, trials, frac):
         yes = min(trials, int(frac * trials))
-        low, high = wilson_interval(yes, trials, confidence)
+        low, high = wilson_interval(yes, trials)
         p_hat = yes / trials
         assert 0.0 <= low <= p_hat <= high <= 1.0
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            wilson_interval(-1, 10, 0.9)
+            wilson_interval(-1, 10)
         with pytest.raises(ValueError):
-            wilson_interval(11, 10, 0.9)
+            wilson_interval(11, 10)
         with pytest.raises(ValueError):
-            wilson_interval(5, 0, 0.9)
-        with pytest.raises(ValueError):
-            wilson_interval(5, 10, 1.0)
+            wilson_interval(5, 0)
 
 
 class TestRunTrials:
