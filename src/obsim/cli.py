@@ -63,15 +63,6 @@ class ConfigError(Exception):
     pass
 
 
-def _fmt_cell(value):
-    # csv.writer prints None as an empty cell and str() of anything else
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".9g")
-    return value
-
-
 def emit_csv(out: Optional[Path], header: Sequence[str], rows: Iterable[Sequence],
              staged: Optional[list] = None) -> None:
     """Fixed-schema CSV: header then rows, 9 significant digits, UTF-8, LF;
@@ -81,7 +72,10 @@ def emit_csv(out: Optional[Path], header: Sequence[str], rows: Iterable[Sequence
     def write(fh: TextIO) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([_fmt_cell(v) for v in row] for row in rows)
+        # csv.writer prints None as an empty cell and str() of anything else
+        writer.writerows([format(v, ".9g") if isinstance(v, float)
+                          else ("true" if v else "false") if isinstance(v, bool)
+                          else v for v in row] for row in rows)
 
     _write_to(out, write, staged)
 

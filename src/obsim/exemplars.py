@@ -17,6 +17,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 from typing import Callable, Iterable, Iterator
 
 from .core import (
@@ -106,8 +107,7 @@ class ElasticBandState:
         return max(self.fragments)
 
     def subhalf_count(self) -> int:
-        half = 0.5 * self.original_length
-        return sum(1 for f in self.fragments if f < half)
+        return sum(map(operator.lt, self.fragments, repeat(0.5 * self.original_length)))
 
     def __str__(self) -> str:
         return f"elastic({len(self.fragments)} fragments of {self.original_length:.6g})"
@@ -209,6 +209,11 @@ def _longest_index(fragments: tuple[float, ...]) -> int:
     return fragments.index(max(fragments))
 
 
+def _split(fragments: tuple[float, ...], i: int, pieces: tuple[float, float]) -> tuple[float, ...]:
+    # the band after a break: fragment i's two pieces in its place, left piece first
+    return fragments[:i] + pieces + fragments[i + 1 :]
+
+
 def _breakable(longest: float) -> bool:
     # otherwise no draw splits it into two positive finite pieces
     return _SMALLEST_FLOAT < longest < math.inf
@@ -248,7 +253,7 @@ def _left_handedness_kernel(
     i = _longest_index(frags)
     r, left, right = _break_point(frags[i], rng)
     outcome = YES if _left_hand(r) else NO
-    post = ElasticBandState(frags[:i] + (left, right) + frags[i + 1 :], state.original_length)
+    post = ElasticBandState(_split(frags, i, (left, right)), state.original_length)
     return outcome, post
 
 
@@ -284,8 +289,7 @@ def _pick_process(id: str, compare) -> ObservationProcess:
     yes when ``compare(fragment, half the original length)`` holds."""
 
     def count(state: ElasticBandState) -> int:
-        half = 0.5 * state.original_length
-        return sum(1 for f in state.fragments if compare(f, half))
+        return sum(map(compare, state.fragments, repeat(0.5 * state.original_length)))
 
     def kernel(state: ElasticBandState, rng: DrawSource) -> tuple[Outcome, ElasticBandState]:
         i = pick(rng.draw(), len(state.fragments))
@@ -330,8 +334,10 @@ class BandStep:
     walk keeps their exact sum and moves it by each break's one rounding
     error), ``max_fragment`` is the longest fragment and ``subhalf`` counts the
     fragments shorter than half the original length. :meth:`state` builds the
-    full band in O(n log n) from the walk's heap, the only record of the band;
-    a step that the walk has moved past raises ``ValueError`` instead.
+    full band: in O(n) right after the previous step's state was built, by
+    splitting that band's longest fragment as the kernel does, and in
+    O(n log n) otherwise, by sorting the walk's heap, the only record of the
+    band. A step that the walk has moved past raises ``ValueError`` instead.
     """
 
     n_fragments: int
@@ -339,13 +345,28 @@ class BandStep:
     max_fragment: float
     subhalf: int
     _heap: list[tuple[float, bytes]] = field(repr=False)  # the walk's, as it is now
+    # the walk's last built band, as [n_fragments, fragments], shared by its steps
+    _built: list = field(repr=False)
+    _pieces: tuple[float, float] | None = field(repr=False)  # this step's break, left first
 
     def state(self) -> ElasticBandState:
-        if len(self._heap) != self.n_fragments:
+        n = self.n_fragments
+        if len(self._heap) != n:
             raise ValueError("the walk has moved past this step; only its latest step has a state")
-        # sorted by path, the fragments are in positional order
-        ordered = sorted(self._heap, key=operator.itemgetter(1))
-        return ElasticBandState(tuple(-neg for neg, _ in ordered), 1.0)
+        built_n, fragments = self._built
+        if built_n == n - 1:
+            # this step's break split the previous band's longest fragment, the
+            # leftmost of equal lengths, as the heap's top is
+            fragments = _split(fragments, _longest_index(fragments), self._pieces)
+        elif built_n != n:
+            fragments = _positional(self._heap)
+        self._built[:] = n, fragments
+        return ElasticBandState(fragments, 1.0)
+
+
+def _positional(heap: list[tuple[float, bytes]]) -> tuple[float, ...]:
+    # sorted by path, the fragments are in positional order
+    return tuple(-neg for neg, _ in sorted(heap, key=operator.itemgetter(1)))
 
 
 def _units(x: float) -> int:
@@ -370,7 +391,8 @@ def _walk(draws: Iterable[float], rest: Callable[[int], DrawSource]) -> Iterator
     total = one = 1 << 1074
     total_length = 1.0
     subhalf = 0
-    yield BandStep(1, total_length, 1.0, subhalf, heap)
+    built = [1, (1.0,)]
+    yield BandStep(1, total_length, 1.0, subhalf, heap, built, None)
     for i, r in enumerate(draws):
         neg_longest, path = heap[0]
         longest = -neg_longest
@@ -388,7 +410,7 @@ def _walk(draws: Iterable[float], rest: Callable[[int], DrawSource]) -> Iterator
             total -= _units(err)
             total_length = total / one
         subhalf += (left < half) + (right < half) - (longest < half)
-        yield BandStep(i + 2, total_length, -heap[0][0], subhalf, heap)
+        yield BandStep(i + 2, total_length, -heap[0][0], subhalf, heap, built, (left, right))
 
 
 def break_trajectory(seed: int, breaks: int) -> Iterator[BandStep]:
@@ -401,7 +423,7 @@ def break_trajectory(seed: int, breaks: int) -> Iterator[BandStep]:
     Yields a :class:`BandStep` for the unbroken band and then after each
     break. While step k is the latest, its ``state()`` is the state that k
     calls of ``LEFT_HANDEDNESS.kernel`` on the same streams reach; one break
-    costs O(log n).
+    costs O(log n), and a state O(n) where the previous step's state was built.
     """
 
     def rest(i: int) -> TrialStream:

@@ -13,7 +13,7 @@ observation of :func:`product_process`, recorded by :func:`~obsim.core.observe`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 from .core import (
     YES,
@@ -47,6 +47,12 @@ class ProductObservation:
                     f"components mix scenarios: {scenario.__name__} vs {comp.scenario.__name__}"
                 )
 
+    @cached_property
+    def _process(self) -> ObservationProcess:
+        # product_observe's, built on its first call; not a field, so ==, hash and
+        # repr read the components alone
+        return product_process(self)
+
 
 def _choose_and_run(
     components: tuple[ObservationProcess, ...], state: object, rng: DrawSource
@@ -62,7 +68,7 @@ def product_observe(
     """:func:`~obsim.core.observe` on :func:`product_process`: the outcome and
     post-state, and for audit the id of the component that the kernel picked
     on its first draw."""
-    outcome, post, record = observe(product_process(prod), state, rng)
+    outcome, post, record = observe(prod._process, state, rng)
     return outcome, post, prod.components[pick(record.draws[0], len(prod.components))].id
 
 

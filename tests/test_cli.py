@@ -387,6 +387,7 @@ CELLS = st.one_of(
     st.integers(-(2**63), 2**64 - 1),
     st.floats(),
     st.sampled_from((-0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e300, 0.1, 1 / 3)),
+    st.floats().map(np.float64),  # a float subclass: formatted as its float value
     TEXT,
 )
 

@@ -269,6 +269,52 @@ class TestLeftHandedness:
                 _, state = LEFT_HANDEDNESS.kernel(state, pair)
             assert_step_is(step, state)
 
+    @staticmethod
+    def _walk_and_streams(kind, seed, breaks):
+        """A walk of ``breaks`` breaks, and a function giving the stream that the
+        kernel reads at break i."""
+        if kind == "trajectory":
+            return break_trajectory(seed, breaks), lambda i: TrialStream(seed, i)
+        if kind == "dyadic":  # draws of 1/4, 1/2 and 3/4: equal lengths tie at the top
+            rs = [0.25 * (1 + int(3 * TrialStream(seed, i).draw())) for i in range(breaks)]
+            return _walk(rs, lambda i: NONE_STREAM), lambda i: SequenceStream((rs[i],))
+        # every fifth first draw is 0.0, which the walk redraws from the rest of its stream
+        firsts = [0.0 if (seed + i) % 5 == 0 else TrialStream(seed, i).draw()
+                  for i in range(breaks)]
+        seconds = [0.125 + (i % 96) / 128 for i in range(breaks)]
+        return (_walk(firsts, lambda i: SequenceStream((seconds[i],))),
+                lambda i: SequenceStream((firsts[i], seconds[i])))
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        asks=st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=80),
+    )
+    @example(seed=0, asks=[1] * 80)  # every step: one splice each, and no sort
+    @example(seed=1, asks=[1, 0] * 40)  # gaps of one step: a sort each
+    @example(seed=2, asks=[0, 0, 1] + [0] * 60 + [1, 1, 0, 1])  # a gap of many, then splices
+    @example(seed=3, asks=[2] * 80)  # every step twice
+    @example(seed=4, asks=[0] * 79 + [1])  # only the last step, as check_elastic_suite asks
+    @settings(max_examples=30, deadline=None)
+    @pytest.mark.parametrize("kind", ["trajectory", "dyadic", "zero-first-draw"])
+    def test_state_on_any_steps_is_the_kernel_walk(self, kind, seed, asks):
+        # asks[i] states are built at step i; a state splices the previous step's
+        # band where that was built, returns the band again where this step's was,
+        # and sorts the heap by path otherwise
+        steps, stream = self._walk_and_streams(kind, seed, len(asks) - 1)
+        sorts = mock.Mock(side_effect=exemplars._positional)
+        state = ElasticBandState.unbroken(1.0)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exemplars, "_positional", sorts)
+            for i, step in enumerate(steps):
+                if i:
+                    _, state = LEFT_HANDEDNESS.kernel(state, stream(i - 1))
+                for _ in range(asks[i]):
+                    got = step.state()
+                    assert got == state
+                    assert [f.hex() for f in got.fragments] == [f.hex() for f in state.fragments]
+        # the walk starts with step 0's band built, so neither step 0 nor step 1 sorts
+        assert sorts.call_count == sum(1 for i in range(2, len(asks)) if asks[i] and not asks[i - 1])
+
     def test_trajectory_redraws_from_the_trial_stream_past_its_first_draw(self, monkeypatch):
         # first_draws stands in a 0.0 for some trials' first draws, so a redraw that
         # read the trial's first draw again would split where the kernel does not

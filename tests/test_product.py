@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from obsim import (
     product_process,
     run_trials,
 )
+from obsim import product
 from obsim.core import YES, NotDecidableError, ObservationProcess, ScenarioMismatchError
 from obsim.randomness import pick
 
@@ -124,6 +127,20 @@ class TestProductObserve:
         assert chosen == picked.id
         # the chosen component, run on the draws after the pick, gives the product's answer
         assert picked.kernel(state, SequenceStream(record.draws[1:])) == (outcome, post)
+
+    def test_builds_its_process_once_per_product(self, monkeypatch):
+        built = mock.Mock(side_effect=product.product_process)
+        monkeypatch.setattr(product, "product_process", built)
+        prod = ProductObservation((NON_BURNABILITY, FLOATABILITY))
+        before = (repr(prod), hash(prod), dataclasses.fields(prod))
+        for i in range(20):
+            product_observe(prod, DRY_INTACT, TrialStream(3, i))
+        assert built.call_count == 1
+        # the kept process is no field: an equal product equals and hashes alike
+        assert (repr(prod), hash(prod), dataclasses.fields(prod)) == before
+        assert prod == COIN and hash(prod) == hash(COIN)
+        # product_process still builds a new process on every call
+        assert product_process(prod) is not product_process(prod)
 
     def test_choice_audit(self):
         prod = ProductObservation((BURNABILITY, FLOATABILITY))
