@@ -28,10 +28,9 @@ _HOMES = {
         "Integrity", "Moisture", "SolidState", "WoodState", "break_trajectory",
     ),
     "machines": (
-        "BreakageProfile", "ElasticApparatus", "LinePosition", "PointBreak",
-        "SawtoothRuler", "SegmentBreak", "SpherePoint", "UniformBreak",
-        "quantum_machine_prob", "quantum_machine_process",
-        "sawtooth_position_process", "sphere_point_at",
+        "BreakageProfile", "ElasticApparatus", "LinePosition", "SawtoothRuler",
+        "SegmentBreak", "SpherePoint", "UniformBreak", "quantum_machine_prob",
+        "quantum_machine_process", "sawtooth_position_process", "sphere_point_at",
     ),
     "product": (
         "ProductObservation", "meet_actual", "product_observe", "product_process",

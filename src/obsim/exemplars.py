@@ -21,7 +21,7 @@ from itertools import repeat
 from typing import Callable, Iterable, Iterator
 
 from .core import (
-    NO, YES, Branch, FirstDraw, ObservationProcess, Outcome, pick_decision, yes_no_branches,
+    NO, YES, Branch, FirstDraw, ObservationProcess, Outcome, yes_no_branches,
 )
 from .randomness import DrawSource, SequenceStream, TrialStream, first_draws, pick
 
@@ -303,18 +303,12 @@ def _pick_process(id: str, compare) -> ObservationProcess:
         k = count(state)
         return yes_no_branches(k / n, state, (n - k) / n, state)
 
-    def first_draw(state: ElasticBandState) -> FirstDraw:
-        half = 0.5 * state.original_length
-        fragments = state.fragments
-        return pick_decision([compare(f, half) for f in fragments], [state] * len(fragments))
-
     return ObservationProcess(
         id=id,
         scenario=ElasticBandState,
         kernel=kernel,
         analytic=analytic,
         branches=branches,
-        first_draw=first_draw,
     )
 
 

@@ -13,9 +13,9 @@ With a uniformly breakable band the yes-probability ("ends at p+") is
     P = (1 + cos gamma) / 2 = cos^2(gamma / 2),
 
 the same two-outcome statistics as a spin-1/2 measurement at relative angle
-gamma. A band breakable only at a fixed point makes the observation fully
-deterministic; a band uniformly breakable only on its middle segment of
-fractional width eps interpolates between the two regimes:
+gamma. A band uniformly breakable only on its middle segment of fractional
+width eps interpolates between that quantum regime (eps = 1) and a classical,
+deterministic one (eps = 0, a band that breaks at its midpoint alone):
 
     P = clamp((1 + cos gamma / eps) / 2, 0, 1),
 
@@ -33,7 +33,7 @@ from typing import Iterator, Optional, Sequence, Union
 from .core import (
     NO, YES, Branch, FirstDraw, ObservationProcess, Outcome, yes_no_branches,
 )
-from .randomness import _LAST_DRAW, DrawSource, SequenceStream, pick
+from .randomness import _LAST_DRAW, DrawSource, pick
 from .stats import TrialReport, sweep
 
 _NORM_TOL = 1e-9
@@ -75,28 +75,10 @@ class UniformBreak:
 
 
 @dataclass(frozen=True)
-class PointBreak:
-    """Band breakable at a single fixed point.
-
-    ``position`` is the break point as a fraction of the band length from the
-    p- end, in [0, 1].
-    """
-
-    position: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.position <= 1.0:
-            raise ValueError(f"PointBreak.position must be in [0, 1], got {self.position!r}")
-
-    def __str__(self) -> str:
-        return f"point({self.position:.6g})"
-
-
-@dataclass(frozen=True)
 class SegmentBreak:
     """Band uniformly breakable only on the middle segment of fractional
-    width ``width``; width 1 behaves like UniformBreak, width 0 like
-    PointBreak(0.5)."""
+    width ``width``; width 1 behaves like UniformBreak, and width 0 is the
+    deterministic band, breaking at its midpoint alone (still one draw)."""
 
     width: float
 
@@ -108,7 +90,7 @@ class SegmentBreak:
         return f"segment({self.width:.6g})"
 
 
-BreakageProfile = Union[UniformBreak, PointBreak, SegmentBreak]
+BreakageProfile = Union[UniformBreak, SegmentBreak]
 
 
 @dataclass(frozen=True)
@@ -145,25 +127,21 @@ def _cos_between(u, rho, minus_rho) -> float:
 def _prob_from_cos(c: float, profile: BreakageProfile) -> float:
     if isinstance(profile, UniformBreak):
         return 0.5 * (1.0 + c)
-    if isinstance(profile, PointBreak):
-        return 1.0 if 0.5 * (1.0 + c) > profile.position else 0.0
     w = profile.width
     if w == 0.0:
-        # degenerate middle-point band, like PointBreak(0.5): ties resolve to no
+        # degenerate middle-point band: ties resolve to no
         return 1.0 if c > 0.0 else 0.0
     return max(0.0, min(1.0, 0.5 * (1.0 + c / w)))
 
 
 def _yes_test(profile: BreakageProfile):
     """The machine's decision on the draw ``r`` at cos gamma ``c``, as
-    ``test(r, c)``, or None for a fixed break point, which takes no draw.
+    ``test(r, c)``.
 
     Yes iff the break lands strictly below the particle; ties resolve to no.
     The comparisons are kept in centered form (around the band midpoint) so
     the deterministic regimes of the segment profile are exact in floats.
     """
-    if isinstance(profile, PointBreak):
-        return None
     if isinstance(profile, UniformBreak):
         return lambda r, c: r - 0.5 < 0.5 * c
     # both sides scaled exactly by 2**600: the same comparison wherever the product
@@ -177,8 +155,6 @@ def quantum_machine_prob(gamma: float, profile: BreakageProfile) -> float:
 
     Uniform: (1 + cos gamma) / 2. Segment(eps): clamp((1 + cos gamma/eps)/2, 0, 1),
     and for eps = 0 the midpoint break: 1 when cos gamma > 0, else 0 (ties to no).
-    Point(x): 1 when the particle lands strictly above the break point, else 0
-    (ties to no).
     """
     if not 0.0 <= gamma <= math.pi:
         raise ValueError(f"gamma must be in [0, pi], got {gamma!r}")
@@ -188,9 +164,9 @@ def quantum_machine_prob(gamma: float, profile: BreakageProfile) -> float:
 def quantum_machine_process(apparatus: ElasticApparatus, id: str | None = None) -> ObservationProcess:
     """Bind an apparatus into an ObservationProcess over SpherePoint states.
 
-    Its kernel is the one machine observation: one draw for uniform and
-    segment profiles, none for a fixed break point; the post-state is the
-    band endpoint the particle was carried to, +rho on yes and -rho on no.
+    Its kernel is the one machine observation, one draw on every profile; the
+    post-state is the band endpoint the particle was carried to, +rho on yes
+    and -rho on no.
     """
     rho = apparatus.orientation
     profile = apparatus.profile
@@ -207,15 +183,9 @@ def quantum_machine_process(apparatus: ElasticApparatus, id: str | None = None) 
         if state is not seen:
             c = _cos_between(state.direction, rho, minus_rho)
             last[0] = (state, c)
-        if yes_test is None:
-            yes = 0.5 * (1.0 + c) > profile.position
-        else:
-            yes = yes_test(rng.draw(), c)
-        return (YES, post_plus) if yes else (NO, post_minus)
+        return (YES, post_plus) if yes_test(rng.draw(), c) else (NO, post_minus)
 
     def first_draw(state: SpherePoint) -> FirstDraw:
-        if yes_test is None:
-            return FirstDraw(always=kernel(state, SequenceStream(()))[0])
         c = _cos_between(state.direction, rho, minus_rho)
         # r - 0.5 is exact and the scale >= 0: the yes draws are a prefix of [0, 1)
         first, last = yes_test(0.0, c), yes_test(_LAST_DRAW, c)

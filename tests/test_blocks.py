@@ -23,12 +23,10 @@ from obsim import (
     INCOMPRESSIBILITY,
     LEFT_HANDEDNESS,
     NON_BURNABILITY,
-    NON_FRAGMENTATION,
     ElasticApparatus,
     ElasticBandState,
     LinePosition,
     ObservationProcess,
-    PointBreak,
     ProductObservation,
     SawtoothRuler,
     SegmentBreak,
@@ -59,11 +57,12 @@ NORTH = SpherePoint((0.0, 0.0, 1.0))
 SOUTH = SpherePoint((0.0, 0.0, -1.0))
 MACHINE_STATES = (sphere_point_at(1.0), sphere_point_at(2.5), EQUATOR, NORTH, SOUTH)
 PROFILES = (UniformBreak(), SegmentBreak(0.25), SegmentBreak(1.0), SegmentBreak(1e-310),
-            PointBreak(0.5), PointBreak(0.3))
+            SegmentBreak(0.0))
 # about half the first draws leave a zero-length piece of this band, and its
 # kernel draws again
 SUBNORMAL_BAND = ElasticBandState((1e-323,), 1e-323)
 COIN = product_process(ProductObservation((NON_BURNABILITY, FLOATABILITY)))
+THREE = product_process(ProductObservation((BURNABILITY, NON_BURNABILITY, FLOATABILITY)))
 # the outer pick decides, but on the inner product the kernel picks again: 1 or 2 draws
 NESTED = product_process(ProductObservation(
     (product_process(ProductObservation((BURNABILITY, FLOATABILITY))), NON_BURNABILITY)
@@ -73,24 +72,20 @@ BLOCK_CASES = [(machine(p), s) for p in PROFILES for s in MACHINE_STATES] + [
     (LEFT_HANDEDNESS, ElasticBandState.unbroken(1.0)),
     (LEFT_HANDEDNESS, ElasticBandState((0.3, 0.7), 1.0)),
     (LEFT_HANDEDNESS, SUBNORMAL_BAND),
-    (FRAGMENTATION, ElasticBandState((0.7, 0.2, 0.1), 1.0)),
-    (NON_FRAGMENTATION, ElasticBandState((0.3, 0.5, 0.2), 1.0)),  # a half answers no
-    (FRAGMENTATION, ElasticBandState.unbroken(1.0)),
-    (COIN, DRY_INTACT),
-    (product_process(ProductObservation((BURNABILITY, NON_BURNABILITY, FLOATABILITY))),
-     DRY_INTACT),
-    (product_process(ProductObservation((BURNABILITY, FLOATABILITY))), DRY_INTACT),
+    (COIN, DRY_INTACT),  # a mixed pick with posts
+    (THREE, DRY_INTACT),  # mixed, without posts: a yes leaves ashes or wet wood
+    (product_process(ProductObservation((BURNABILITY, FLOATABILITY))), DRY_INTACT),  # all yes
     (NESTED, DRY_INTACT),
     (BURNABILITY, DRY_INTACT),
     (INCOMPRESSIBILITY, SolidState(1.0, 0.5)),
     # machines at their poles: the pick decides, and then the chosen machine draws
     (product_process(ProductObservation((machine(UniformBreak()), machine(UniformBreak())))),
      NORTH),  # +z with +z: always yes
-    (product_process(ProductObservation(
-        (machine(UniformBreak()), machine(UniformBreak(), (0.0, 0.0, -1.0))))), NORTH),  # +z, -z
+    (product_process(ProductObservation(  # +z, -z: mixed, without posts, as both draw
+        (machine(UniformBreak()), machine(UniformBreak(), (0.0, 0.0, -1.0))))), NORTH),
 ]
 FIRST_DRAW_CASES = [(p, s) for p, s in BLOCK_CASES if p.first_draw(s).yes is not None]
-# decided with no draw read: a kernel that takes none, or a pick whose entries all answer alike
+# decided with no draw read: a pick whose entries all answer alike
 CERTAIN_CASES = [(p, s) for p, s in BLOCK_CASES if p.first_draw(s).yes is None]
 TOOTH_TIP = (sawtooth_position_process(SawtoothRuler(), 0), LinePosition(0.5))
 # the pick and then the chosen machine: every trial draws twice
@@ -258,7 +253,6 @@ def raising_kernel(state, rng):
 @pytest.mark.parametrize("process,state", [
     (machine(UniformBreak()), sphere_point_at(1.0)),
     (COIN, DRY_INTACT),
-    (FRAGMENTATION, ElasticBandState((0.7, 0.2, 0.1), 1.0)),
 ])
 def test_decided_records_are_built_without_the_kernel(process, state, enabled):
     assert process.first_draw(state).posts is not None
@@ -285,8 +279,7 @@ def test_decided_records_are_built_without_the_kernel(process, state, enabled):
     (LEFT_HANDEDNESS, ElasticBandState.unbroken(1.0)),  # kept: some trials draw again
     (NESTED, DRY_INTACT),  # the inner product draws again
     # a yes from burnability leaves ashes, one from floatability wet wood
-    (product_process(ProductObservation((BURNABILITY, NON_BURNABILITY, FLOATABILITY))),
-     DRY_INTACT),
+    (THREE, DRY_INTACT),
 ])
 def test_decisions_without_posts(process, state):
     assert process.first_draw(state).posts is None
@@ -391,9 +384,9 @@ def assert_decides_as_kernel(process, state, r):
     (machine(UniformBreak()), NORTH, 1.0 - 2.0**-53, True),
     (LEFT_HANDEDNESS, ElasticBandState.unbroken(1.0), 0.5, False),
     (LEFT_HANDEDNESS, ElasticBandState.unbroken(1.0), math.nextafter(0.5, 1.0), True),
-    (FRAGMENTATION, ElasticBandState((0.7, 0.2, 0.1), 1.0), 1 / 3, True),  # 3 * (1/3) rounds to 1
-    (FRAGMENTATION, ElasticBandState((0.7, 0.2, 0.1), 1.0), math.nextafter(1 / 3, 0.0), False),
     (COIN, DRY_INTACT, 0.5, True),  # picks floatability
+    (THREE, DRY_INTACT, 1 / 3, False),  # 3 * (1/3) rounds to 1: non-burnability
+    (THREE, DRY_INTACT, math.nextafter(1 / 3, 0.0), True),
     (COIN, DRY_INTACT, math.nextafter(0.5, 0.0), False),
 ])
 def test_decisions_at_tie_draws(process, state, r, yes):
@@ -420,8 +413,7 @@ def test_a_decision_without_yes_is_the_kernel_on_any_draw(process, state):
 
 
 @pytest.mark.parametrize("process,state", [
-    # a fixed break point draws nothing: always is its one outcome
-    *((machine(p), s) for p in (*PROFILES, SegmentBreak(0.0)) for s in MACHINE_STATES),
+    *((machine(p), s) for p in PROFILES for s in MACHINE_STATES),
     (machine(UniformBreak()), SpherePoint((1.0, 0.0, 5e-324))),  # a subnormal cos gamma
     (machine(SegmentBreak(1.0)), SpherePoint((1.0, 0.0, 5e-324))),
 ])

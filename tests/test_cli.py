@@ -71,6 +71,7 @@ class TestExitCodes:
             (("quantum-machine", "--gamma-grid", "1000000000"), "--gamma-grid", "10000"),
             (("epsilon-sweep", "--gamma-grid", "10001"), "--gamma-grid", "10000"),
             (("epsilon-sweep",) + ("--epsilon", "0.5") * 17, "--epsilon", "16"),
+            (("quantum-machine", "--workers", "0"), "--workers", ">= 1, got 0"),
         ],
     )
     def test_over_a_bound_rejected_before_any_trial(self, tmp_path, monkeypatch, capsys,
@@ -665,6 +666,16 @@ def test_help_lists_every_flag_and_both_trial_bounds(argv, capsys):
     assert "10000000" in page and "200000" in page
 
 
+@pytest.mark.parametrize("code,status", [(None, 0), (0, 0), (4, 4), ("a message", 2)])
+def test_main_returns_the_status_of_a_system_exit(code, status, monkeypatch):
+    # argparse exits 0 on --help and 2 on a usage error; a bare exit is success
+    def stop(argv):
+        raise SystemExit(code)
+
+    monkeypatch.setattr(cli, "_run", stop)
+    assert cli.main(["classify"]) == status
+
+
 @pytest.mark.parametrize("scenario,flags", [
     ("classify", ["--seed", "7"]),
     ("quantum-machine", ["--seed", "7", "--trials", "50", "--gamma-grid", "3"]),
@@ -714,6 +725,7 @@ class TestConfigFile:
             pytest.param("trials = 10\nepsilon =\n", 2, "epsilon", id="epsilon-empty"),
             pytest.param("epsilon = ,\n", 1, "epsilon", id="epsilon-only-commas"),
             pytest.param("out =\n", 1, "out", id="out-empty"),
+            pytest.param("# note\nno equals sign\n", 2, "expected key = value", id="no-equals"),
         ],
     )
     def test_bad_config_line_rejected(self, tmp_path, capsys, text, line, key):

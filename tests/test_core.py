@@ -2,7 +2,7 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from obsim import (
@@ -21,7 +21,6 @@ from obsim import (
     NotDecidableError,
     ObservationProcess,
     Outcome,
-    PointBreak,
     ProductObservation,
     PropertyDef,
     ScenarioMismatchError,
@@ -72,7 +71,6 @@ RHO = (0.0, 0.0, 1.0)
 PROFILES = st.one_of(
     st.just(UniformBreak()),
     st.one_of(st.sampled_from((0.0, 1.0)), st.floats(min_value=0.0, max_value=1.0)).map(SegmentBreak),
-    st.floats(min_value=0.0, max_value=1.0).map(PointBreak),
 )
 SPHERE_STATES = st.one_of(
     st.floats(min_value=0.0, max_value=math.pi).map(sphere_point_at),
@@ -160,6 +158,7 @@ class TestObserve:
 
     @pytest.mark.parametrize("process,state", ALL_PROCESS_STATES, ids=lambda v: str(v))
     @given(seed=st.integers(min_value=0, max_value=2**64 - 1))
+    @example(seed=0)
     @settings(max_examples=25, deadline=None)
     def test_replay_determinism(self, process, state, seed):
         _, _, record = observe(process, state, TrialStream(seed))

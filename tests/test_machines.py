@@ -12,7 +12,6 @@ import obsim
 from obsim import (
     ElasticApparatus,
     LinePosition,
-    PointBreak,
     RecordingStream,
     SawtoothRuler,
     ScenarioMismatchError,
@@ -29,6 +28,7 @@ from obsim import (
     sawtooth_position_process,
     sphere_point_at,
     substream_seed,
+    verify_replay,
 )
 from obsim.checks import _legendre_rule, segment_prob_oracle
 from obsim.core import NO, YES
@@ -99,27 +99,6 @@ class TestClosedForm:
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
-class TestPointProfile:
-    def test_break_below_particle_is_certain_yes(self):
-        # particle lands 3/4 of the way up at gamma = pi/3; a break fixed at
-        # the quarter point is always below it
-        assert quantum_machine_prob(PI / 3, PointBreak(0.25)) == 1.0
-
-    def test_break_above_particle_is_certain_no(self):
-        assert quantum_machine_prob(2 * PI / 3, PointBreak(0.75)) == 0.0
-
-    def test_exact_tie_resolves_to_no(self):
-        # an exactly orthogonal state lands at the midpoint; cos is exact 0
-        process = quantum_machine_process(ElasticApparatus(RHO, 1.0, PointBreak(0.5)))
-        assert process.analytic(SpherePoint((1.0, 0.0, 0.0))) == 0.0
-
-    def test_no_draws_consumed(self):
-        process = quantum_machine_process(ElasticApparatus(RHO, 1.0, PointBreak(0.25)))
-        outcome, post = process.kernel(sphere_point_at(PI / 3), SequenceStream(()))
-        assert outcome is YES
-        assert post == SpherePoint(RHO)
-
-
 class TestSegmentProfile:
     def test_width_one_equals_uniform_everywhere(self):
         for k in range(26):
@@ -131,8 +110,8 @@ class TestSegmentProfile:
     def test_width_zero_equals_midpoint_break(self):
         for k in range(26):
             gamma = k * PI / 25
-            assert quantum_machine_prob(gamma, SegmentBreak(0.0)) == quantum_machine_prob(
-                gamma, PointBreak(0.5)
+            assert quantum_machine_prob(gamma, SegmentBreak(0.0)) == (
+                1.0 if math.cos(gamma) > 0.0 else 0.0
             )
 
     def test_width_zero_limit_cases(self):
@@ -283,7 +262,7 @@ class TestMachineKernel:
     # must still answer as a process that has seen no state before
     @given(
         profile=st.sampled_from([UniformBreak(), SegmentBreak(0.25), SegmentBreak(1e-310),
-                                 PointBreak(0.5), PointBreak(0.3)]),
+                                 SegmentBreak(0.0)]),
         calls=st.lists(st.tuples(
             st.one_of(
                 st.sampled_from([NORTH, SOUTH, EQUATOR, A, B]),
@@ -298,7 +277,7 @@ class TestMachineKernel:
     @example(profile=UniformBreak(), calls=[(A, 0.5), (B, 0.5), (A, 0.5)])
     @example(profile=SegmentBreak(1e-310), calls=[(EQUATOR, 0.5 - 2.0**-53), (NORTH, 0.9),
                                                   (SpherePoint((1.0, 0.0, 0.0)), 0.5)])
-    @example(profile=PointBreak(0.5), calls=[(NORTH, 0.5), (EQUATOR, 0.5), (SOUTH, 0.5),
+    @example(profile=SegmentBreak(0.0), calls=[(NORTH, 0.5), (EQUATOR, 0.5), (SOUTH, 0.5),
                                              (SpherePoint(RHO), 0.5)])
     @settings(max_examples=300, deadline=None)
     def test_kernel_answers_each_state_as_a_fresh_process(self, profile, calls):
@@ -309,6 +288,29 @@ class TestMachineKernel:
             want_outcome, want_post = fresh.kernel(state, SequenceStream((r,)))
             assert outcome is want_outcome
             assert post.direction == want_post.direction
+
+    @given(
+        profile=st.one_of(
+            st.just(UniformBreak()),
+            st.one_of(st.sampled_from((0.0, 5e-324, 1.0)), st.floats(0.0, 1.0)).map(SegmentBreak),
+        ),
+        state=st.one_of(
+            st.sampled_from([NORTH, SOUTH, EQUATOR, SpherePoint((1.0, 0.0, 5e-324))]),
+            st.floats(min_value=0.0, max_value=PI).map(sphere_point_at),
+        ),
+        seed=st.integers(0, 2**64 - 1),
+        index=st.integers(0, 2**40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_kernel_reads_exactly_one_draw(self, profile, state, seed, index):
+        # on every profile, the deterministic band and the poles included
+        process = quantum_machine_process(ElasticApparatus(RHO, 1.0, profile))
+        record = observe(process, state, TrialStream(seed, index), index)[2]
+        assert len(record.draws) == 1
+        assert verify_replay(process, record)
+        assert not verify_replay(process, record._replace(draws=record.draws + (0.5,)))
+        with pytest.raises(RuntimeError, match="exhausted"):
+            verify_replay(process, record._replace(draws=()))
 
     def test_post_state_repeat_is_certain(self):
         process = quantum_machine_process(uniform_apparatus())
@@ -325,8 +327,6 @@ class TestMachineKernel:
             ElasticApparatus((0.0, 0.0, 0.5))
         with pytest.raises(ValueError):
             ElasticApparatus(RHO, 0.0)
-        with pytest.raises(ValueError):
-            PointBreak(1.5)
         with pytest.raises(ValueError):
             SegmentBreak(-0.2)
 

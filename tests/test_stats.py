@@ -18,7 +18,6 @@ from obsim import (
     ElasticApparatus,
     ElasticBandState,
     LinePosition,
-    PointBreak,
     ProductObservation,
     SawtoothRuler,
     SegmentBreak,
@@ -58,7 +57,7 @@ PROCESS_CASES = (
     (NON_FRAGMENTATION, ElasticBandState((0.7, 0.2, 0.1), 1.0)),
     (MACHINE, sphere_point_at(1.0)),
     (machine(SegmentBreak(0.5)), sphere_point_at(1.3)),
-    (machine(PointBreak(0.4)), sphere_point_at(1.3)),
+    (machine(SegmentBreak(0.0)), sphere_point_at(1.3)),
     (sawtooth_position_process(SawtoothRuler(), 0), LinePosition(0.5)),
     (product_process(ProductObservation((BURNABILITY, FLOATABILITY))), DRY_INTACT),
     (product_process(ProductObservation((NON_BURNABILITY, FLOATABILITY))), DRY_INTACT),
